@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import growth, metric, scenarios, stability
 from ._fit import geometric_schedule, linear_schedule
@@ -156,15 +155,7 @@ def cmd_growth(args):
     schedule = _schedule(args.schedule, args.n_max)
     t_grid = args.t_grid
     stream = growth.MassStream(triple, seed, n_max=args.n_max, schedule=schedule)
-
-    def one(t):
-        return growth.mass_growth(triple, seed, t=t, stream=stream)
-
-    if args.parallel and len(t_grid) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(t_grid))) as pool:
-            reports = list(pool.map(one, t_grid))
-    else:
-        reports = [one(t) for t in t_grid]
+    reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
     if args.format == "csv":
         if len(t_grid) == 1:
             lines = ["n,value"]
@@ -272,7 +263,6 @@ def build_parser():
         p.add_argument("--t-grid", dest="t_grid", type=_parse_t_grid,
                        default=growth.DEFAULT_T_GRID)
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
-        p.add_argument("--parallel", action="store_true")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("spectral", help="exact spectral data of an integer matrix")

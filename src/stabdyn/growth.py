@@ -411,9 +411,12 @@ def shifting_numbers(triple, seed, n_max=2**16):
 
 def pol_shifting_numbers(triple, seed, n_max=2**16):
     """Log n rates of the phase deviations, plus the sublinearity check."""
-    triple.require_verified()
+    return _pol_shifts(triple, seed, n_max, shifting_numbers(triple, seed, n_max=n_max))
+
+
+def _pol_shifts(triple, seed, n_max, base):
+    """pol_shifting_numbers from the already computed linear ones, base."""
     top, bottom = stability.phases(seed)
-    base = shifting_numbers(triple, seed, n_max=n_max)
     ns = sorted(set(range(1, SEQ_PREFIX + 1)) | set(geometric_schedule(n_max)))
     table = cover.renormalized_power_table(triple.g, int(n_max).bit_length())
 
@@ -598,8 +601,9 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     _, rates = _mass_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts = shifting_numbers(triple, seed, n_max=max(n_max, 2**14))
-    pol_shifts = pol_shifting_numbers(triple, seed, n_max=max(n_max, 2**14))
+    n_shift = max(n_max, 2**14)
+    shifts = shifting_numbers(triple, seed, n_max=n_shift)
+    pol_shifts = _pol_shifts(triple, seed, n_shift, shifts)
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -655,14 +659,14 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     }
 
     if hom_table is not None:
+        h_cat = entropy_from_hom(hom_table, 0.0).exp_rate
         for t in t_grid:
             ent = entropy_from_hom(hom_table, t)
             h_t = rates[t][0]
             add("mass_le_entropy", t, h_t, ent.exp_rate)
             if t >= 0.0:
                 add("shift_t_le_entropy", t, nu_up * t, ent.exp_rate)
-                add("entropy_le_hcat_plus_shift_t", t, ent.exp_rate,
-                    entropy_from_hom(hom_table, 0.0).exp_rate + nu_up * t)
+                add("entropy_le_hcat_plus_shift_t", t, ent.exp_rate, h_cat + nu_up * t)
 
     return InequalityReport(
         rows=tuple(rows),

@@ -1,19 +1,22 @@
 """Exact and numerical linear algebra over a finite-rank integer lattice.
 
 The exact layer (characteristic/minimal polynomials, square-free splitting,
-determinants) runs on Python integers and fractions so nothing is rounded
-before the final root extraction.  The numerical layer (root polishing,
-Jordan chain ranks, norm-growth estimation) is plain numpy float64 with the
-thresholds stated in the docstrings, so every test is reproducible.
+determinants, inverses) runs on Python integers only, so nothing is rounded
+before the final root extraction.  One fraction-free Gauss-Jordan eliminator
+(Bareiss) backs determinants, inverses and minimal polynomials; the Yun
+square-free split uses primitive-PRS gcds and exact division by monic
+factors.  The numerical layer (root polishing, Jordan chain ranks,
+norm-growth estimation) is plain numpy float64 with the thresholds stated in
+the docstrings, so every test is reproducible.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ._fit import geometric_schedule, joint_rate_fit, log_slope_fit
-from .errors import DegenerateSpectrum, RootFindingDiverged
+from .errors import DegenerateSpectrum, RootFindingDiverged, SingularMatrix
 
 # Relative width of the top-modulus eigenvalue cluster (see poly_growth_rate).
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -88,55 +91,95 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
+class _Bareiss:
+    """Column-at-a-time fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Integer columns of one common length are fed in turn.  Each is reduced by
+    every earlier pivot step with x_i <- (p x_i - c_i x_r) // prev, where c is
+    that step's pivot column, r its pivot row, p = c_r and prev the pivot
+    before it; x_r itself is kept.  All entries stay minors of the fed
+    columns, so every division is exact (checked).  After k pivots a reduced
+    column is E x for one integer matrix E with E x_s = p e_{r_s} for every
+    pivot column x_s, p being the current (k-th) pivot.
+    """
+
+    def __init__(self):
+        self.steps = []  # (pivot row, pivot column as reduced when chosen)
+        self.rows = []
+        self.pivot = 1
+
+    def feed(self, x):
+        """Reduce x; make it the next pivot column (None) or return E x.
+
+        A returned column is zero off the pivot rows and holds p a_s at row
+        r_s, where x = sum a_s x_s over the pivot columns.
+        """
+        x = list(x)
+        prev = 1
+        for r, c in self.steps:
+            p, xr = c[r], x[r]
+            num = [p * xi - ci * xr for xi, ci in zip(x, c)]
+            x = [v // prev for v in num]
+            # floor remainders share the divisor's sign: they all vanish iff their sum does
+            if sum(x) * prev != sum(num):
+                raise ArithmeticError("Bareiss division was not exact")
+            x[r] = xr
+            prev = p
+        taken = set(self.rows)
+        r = next((i for i, v in enumerate(x) if v and i not in taken), None)
+        if r is None:
+            return x
+        self.steps.append((r, x))
+        self.rows.append(r)
+        self.pivot = x[r]
+        return None
+
+
 def det_exact(A):
-    """Determinant of an IntMatrix by fraction-free Bareiss elimination."""
+    """Determinant of an IntMatrix by fraction-free elimination of its columns.
+
+    The last pivot is the determinant of A with its rows in pivot order.
+    """
+    elim = _Bareiss()
+    for col in zip(*A.entries):
+        if elim.feed(col) is not None:
+            return 0
+    rows = elim.rows
+    inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
+    return (-1) ** inversions * elim.pivot
+
+
+def rational_inverse(A):
+    """Exact inverse A^-1 = N / d as (N, d), with d = |det A| > 0.
+
+    Feeds the columns of A, then those of I, through one elimination, so N
+    is the adjugate of A up to the sign of det A.  Raises SingularMatrix
+    when det A = 0.
+    """
     n = A.dim
-    m = [list(row) for row in A.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    elim = _Bareiss()
+    for col in zip(*A.entries):
+        if elim.feed(col) is not None:
+            raise SingularMatrix("matrix is singular")
+    E = [elim.feed(e) for e in IntMatrix.identity(n).entries]  # columns of E
+    sign = 1 if elim.pivot > 0 else -1
+    N = tuple(tuple(sign * E[j][r] for j in range(n)) for r in elim.rows)
+    return N, abs(elim.pivot)
 
 
 def inverse_unimodular(P):
-    """Exact inverse of a matrix with determinant +-1 (adjugate method)."""
-    d = det_exact(P)
-    if d not in (1, -1):
+    """Exact inverse of a matrix with determinant +-1."""
+    try:
+        N, d = rational_inverse(P)
+    except SingularMatrix:
+        d = 0
+    if d != 1:
         raise ValueError("matrix is not unimodular")
-    n = P.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [P.entries[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            if minor:
-                mdet = det_exact(IntMatrix(tuple(tuple(r) for r in minor)))
-            else:
-                mdet = 1
-            row.append(((-1) ** (i + j)) * mdet * d)
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return IntMatrix(N)
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficients descending, index 0 = leading)
+# exact polynomial helpers (integer coefficients descending, index 0 = leading)
 
 
 def _poly_trim(c):
@@ -146,85 +189,78 @@ def _poly_trim(c):
     return list(c[i:])
 
 
-def _poly_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = _poly_trim([Fraction(x) for x in b])
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(x != 0 for x in r):
-        r = _poly_trim(r)
-        if len(r) < len(b):
-            break
-        coeff = r[0] / b[0]
-        shift = len(r) - len(b)
-        q[len(q) - 1 - shift] = coeff
-        for i in range(len(b)):
-            r[i] -= coeff * b[i]
-        r = r[1:] if r and r[0] == 0 else _poly_trim(r)
-    return _poly_trim(q), _poly_trim(r) if r else [Fraction(0)]
-
-
-def _poly_gcd(a, b):
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    while len(b) > 1 or b[0] != 0:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _poly_trim(r)
-    lead = a[0]
-    return [x / lead for x in a]
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = [0] * (n - len(a)) + list(a)
+    b = [0] * (n - len(b)) + list(b)
+    return _poly_trim([x - y for x, y in zip(a, b)])
 
 
 def _poly_derivative(c):
     n = len(c) - 1
     if n == 0:
-        return [Fraction(0)]
+        return [0]
     return [c[i] * (n - i) for i in range(n)]
 
 
-def _poly_to_int(c):
-    """A monic rational polynomial that divides a monic integer one is integral."""
-    out = []
-    for x in c:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ArithmeticError("expected integer coefficients, got %s" % (f,))
-        out.append(int(f))
-    return out
+def _poly_div_monic(a, b):
+    """Quotient a / b for a monic b that divides a exactly (checked)."""
+    a = list(a)
+    n = len(b) - 1
+    for i in range(len(a) - n):
+        if a[i]:
+            for j in range(1, len(b)):
+                a[i + j] -= a[i] * b[j]
+    if any(a[max(0, len(a) - n) :]):
+        raise ArithmeticError("division by a factor was not exact")
+    return a[: max(0, len(a) - n)] or [0]
+
+
+def _primitive(c):
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _poly_gcd(a, b):
+    """gcd by the primitive PRS (Collins 1967), with a positive leading term.
+
+    A primitive divisor of a monic integer polynomial is monic, so this is
+    the monic gcd whenever a is monic.
+    """
+    a, b = _primitive(_poly_trim(a)), _primitive(_poly_trim(b))
+    while b != [0]:
+        r = a
+        while len(r) >= len(b) and r != [0]:
+            shift = [0] * (len(r) - len(b))
+            r = _poly_trim(_poly_sub([b[0] * x for x in r], [r[0] * x for x in b] + shift))
+        a, b = b, _primitive(r)
+    return a if a[0] > 0 else [-x for x in a]
 
 
 def squarefree_decomposition(coeffs):
     """Yun decomposition p = prod f_i^i of a monic integer polynomial.
 
     Returns a list of (f_i coefficients, i) with every f_i monic integral.
+    Every gcd is monic, so all divisions stay exact over the integers.
     """
-    p = [Fraction(c) for c in coeffs]
+    p = [int(c) for c in coeffs]
     dp = _poly_derivative(p)
     g = _poly_gcd(p, dp)
     if len(g) == 1:
-        return [(_poly_to_int(p), 1)]
-    w, _ = _poly_divmod(p, g)
-    y, _ = _poly_divmod(dp, g)
+        return [(p, 1)]
+    w = _poly_div_monic(p, g)
+    y = _poly_div_monic(dp, g)
     out = []
     i = 1
     while len(w) > 1:
-        z = [a - b for a, b in zip_pad(y, _poly_derivative(w))]
-        z = _poly_trim(z)
+        z = _poly_sub(y, _poly_derivative(w))
         f = _poly_gcd(w, z)  # gcd(w, 0) = w handles the final factor
         if len(f) > 1:
-            out.append((_poly_to_int(f), i))
-        w, _ = _poly_divmod(w, f)
-        y, _ = _poly_divmod(z, f)
+            out.append((f, i))
+        w = _poly_div_monic(w, f)
+        y = _poly_div_monic(z, f)
         i += 1
     return out
-
-
-def zip_pad(a, b):
-    """Align two descending coefficient lists at the constant term."""
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    a = [Fraction(0)] * (n - la) + list(a)
-    b = [Fraction(0)] * (n - lb) + list(b)
-    return zip(a, b)
 
 
 def _poly_eval(coeffs, x):
@@ -267,56 +303,28 @@ def char_poly(A):
 
 
 def min_poly(A):
-    """Exact monic minimal polynomial via first linear dependence of powers.
+    """Exact monic minimal polynomial via the first linear dependence of powers.
 
-    Gaussian elimination over the rationals on vectorized powers I, A, A^2, ...
-    The result divides char_poly(A) in Z[x], so coefficients are integers.
-    Returns (coefficients descending, used_char_poly=False).
+    vec(I), vec(A), vec(A^2), ... are fed lazily into one fraction-free
+    elimination; the first dependent power A^k = sum a_s A^s gives
+    mu = x^k - sum a_s x^s.  mu divides char_poly(A) in Z[x], so its
+    coefficients are integers.  Returns (coefficients descending,
+    used_char_poly=False).
     """
-    n = A.dim
-    powers = [IntMatrix.identity(n)]
-    vecs = []
-
-    def vec(M):
-        return [Fraction(x) for row in M.entries for x in row]
-
-    # rows of the eliminated basis: (pivot index, reduced vector, combo over powers)
-    basis = []
-    k = 0
-    while True:
-        M = powers[-1]
-        v = vec(M)
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for pivot, bvec, bcombo in basis:
-            factor = v[pivot]
-            if factor != 0:
-                v = [x - factor * y for x, y in zip(v, bvec)]
-                combo = [x - factor * y for x, y in zip_pad_frac(combo, bcombo)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            lead = combo[-1] if len(combo) == k + 1 else Fraction(0)
-            if lead == 0:
-                raise ArithmeticError("dependence does not involve the top power")
-            monic = [c / lead for c in combo]
-            coeffs = list(reversed(monic))  # descending in the power of x
-            return _poly_to_int(coeffs), False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        combo = [x * inv for x in combo]
-        basis.append((pivot, v, combo))
-        vecs.append(v)
-        powers.append(powers[-1] @ A)
-        k += 1
-        if k > n:
-            raise ArithmeticError("no dependence found below dimension bound")
-
-
-def zip_pad_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+    elim = _Bareiss()
+    power = IntMatrix.identity(A.dim)
+    for _ in range(A.dim + 1):
+        y = elim.feed([x for row in power.entries for x in row])
+        if y is not None:
+            coeffs = [1]
+            for r in reversed(elim.rows):
+                a, rem = divmod(y[r], elim.pivot)
+                if rem:
+                    raise ArithmeticError("expected integer coefficients")
+                coeffs.append(-a)
+            return coeffs, False
+        power = power @ A
+    raise ArithmeticError("no dependence found below dimension bound")
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +642,7 @@ __all__ = [
     "min_poly",
     "det_exact",
     "inverse_unimodular",
+    "rational_inverse",
     "squarefree_decomposition",
     "spectral_data",
     "spectral_radius",

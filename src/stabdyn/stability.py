@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     UnverifiedTriple,
 )
-from .lattice import IntMatrix, det_exact, inverse_unimodular
+from .lattice import IntMatrix, det_exact, rational_inverse
 
 # Relative tolerance for |Z(v)| e^{i pi phase} against the charge value.
 DEFAULT_PHASE_TOL = 1e-9
@@ -470,22 +470,17 @@ def act_on_stability(sigma, g):
     return StabilityData(Z=Znew, semistables=sems, support_C=C, norm=sigma.norm, weak=sigma.weak)
 
 
-def act_by_auto(sigma, auto, M=None):
+def act_by_auto(sigma, auto):
     """Left action: charge Z o P^{-1}, classes pushed forward, phases kept.
 
-    The optional matrix argument is accepted for call-site symmetry with the
-    right action and is not needed: the induced phases are re-derived from
-    the new charge, which fixes them.
+    P^{-1} comes from the exact inverse for every lattice map, so a singular
+    map raises SingularMatrix.  The induced phases are re-derived from the
+    new charge, which fixes them.
     """
-    del M
     if auto.P.dim != sigma.rank:
         raise DimensionMismatch("lattice map size != charge rank")
-    if auto.det in (1, -1):
-        Pinv = inverse_unimodular(auto.P).to_float()
-    else:
-        Pinv = np.linalg.inv(auto.P.to_float())
-        if not np.all(np.isfinite(Pinv)):
-            raise SingularMatrix("lattice map is not invertible")
+    N, den = rational_inverse(auto.P)
+    Pinv = np.array(N, dtype=float) / den
     Znew = CentralCharge(tuple(map(tuple, (sigma.Z.array @ Pinv).tolist())))
     sems = []
     for d in sigma.semistables:

@@ -1,19 +1,19 @@
 """Pairing-based volume of a stability datum and its transformation law.
 
 The volume is |sum chi^{ij} Z(v_i) conj(Z(v_j))| over the standard lattice
-basis, with chi^{ij} the exact rational inverse of the integer pairing.  For
-an odd-parity antisymmetric pairing the plane action scales the volume by
-the inverse determinant of the matrix part, which forces det = 1 for any
-compatible action with nonvanishing volume.
+basis, with chi^{ij} = N_ij / d the exact inverse of the integer pairing
+(stabdyn.lattice.rational_inverse, fraction-free; each entry is rounded to
+float once).  For an odd-parity antisymmetric pairing the plane action scales
+the volume by the inverse determinant of the matrix part, which forces
+det = 1 for any compatible action with nonvanishing volume.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotOddCY, SingularPairing
-from .lattice import IntMatrix
+from .errors import NotOddCY, SingularMatrix, SingularPairing
+from .lattice import IntMatrix, rational_inverse
 from .stability import CentralCharge
 
 
@@ -49,39 +49,21 @@ class EulerPairing:
         return out
 
 
-def _rational_inverse(A):
-    """Exact inverse of an integer matrix by Fraction Gauss-Jordan."""
-    n = A.dim
-    m = [[Fraction(A.entries[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularPairing("pairing matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 def _charges(Z):
     return [complex(Z.matrix[0][j], Z.matrix[1][j]) for j in range(Z.rank)]
 
 
-def _pairing_sum(Z, chi_inv, conjugate_second=True):
+def _pairing_sum(Z, pairing, conjugate_second=True):
+    try:
+        N, d = rational_inverse(pairing.chi)
+    except SingularMatrix:
+        raise SingularPairing("pairing matrix is singular") from None
     zs = _charges(Z)
     total = 0j
     for i, zi in enumerate(zs):
         for j, zj in enumerate(zs):
             w = zj.conjugate() if conjugate_second else zj
-            total += float(chi_inv[i][j]) * zi * w
+            total += (N[i][j] / d) * zi * w
     return total
 
 
@@ -89,8 +71,7 @@ def volume(Z, pairing):
     """|sum chi^{ij} Z(v_i) conj(Z(v_j))| over the standard basis."""
     if Z.rank != pairing.rank:
         raise SingularPairing("pairing size does not match the charge rank")
-    chi_inv = _rational_inverse(pairing.chi)
-    return float(abs(_pairing_sum(Z, chi_inv, conjugate_second=True)))
+    return float(abs(_pairing_sum(Z, pairing, conjugate_second=True)))
 
 
 def isotropy_defect(Z, pairing):
@@ -99,8 +80,7 @@ def isotropy_defect(Z, pairing):
     Vanishes identically for an antisymmetric pairing; kept as a cheap
     self-check of the sign conventions.
     """
-    chi_inv = _rational_inverse(pairing.chi)
-    return float(abs(_pairing_sum(Z, chi_inv, conjugate_second=False)))
+    return float(abs(_pairing_sum(Z, pairing, conjugate_second=False)))
 
 
 def charge_conjugation_split(Minv):

@@ -191,15 +191,6 @@ def test_config_invariants_rejected(tmp_path):
     assert main(["spectral", path, "--n-max", "4"]) == 2
 
 
-def test_growth_parallel_matches_serial(tmp_path, capsys):
-    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
-    assert main(["growth", path, "--n-max", "512", "--t-grid=-1,0,1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["growth", path, "--n-max", "512", "--t-grid=-1,0,1", "--parallel"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
 # --- translation ---------------------------------------------------------------------
 
 

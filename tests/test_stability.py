@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from stabdyn import cover
-from stabdyn.errors import DimensionMismatch, PreconditionViolated, UnverifiedTriple
+from stabdyn.errors import (
+    DimensionMismatch,
+    PreconditionViolated,
+    SingularMatrix,
+    UnverifiedTriple,
+)
 from stabdyn.lattice import IntMatrix, min_poly_root_transfer
 from stabdyn.stability import (
     AutoequivalenceData,
@@ -361,6 +366,19 @@ def test_left_action_matches_right_action_for_shift():
     left = act_by_auto(t.sigma, t.auto)
     right = act_on_stability(t.sigma, t.g)
     assert same_stability_data(left, right, tol=1e-9)
+
+
+def test_left_action_by_nonunimodular_map_inverts_the_map():
+    sigma = curve_sigma()
+    auto = AutoequivalenceData(P=IntMatrix(((2, 1), (1, 3))), allow_nonunimodular=True)
+    left = act_by_auto(sigma, auto)
+    assert np.allclose(left.Z.array @ auto.P.to_float(), sigma.Z.array, atol=1e-15, rtol=0.0)
+
+
+def test_left_action_by_singular_map_raises_typed_error():
+    auto = AutoequivalenceData(P=IntMatrix(((1, 1), (1, 1))), allow_nonunimodular=True)
+    with pytest.raises(SingularMatrix):
+        act_by_auto(curve_sigma(), auto)
 
 
 def test_min_poly_transfer_for_verified_spanning_triple():
