@@ -187,7 +187,8 @@ def renormalized_power_table(g, max_bit):
     """[(m_j, logscale_j, f0_j)] representing g^(2^j) with m_j renormalized.
 
     m_j * exp(logscale_j) = M^(2^j); the lift value f0_j is exact because a
-    positive rescaling does not change the circle map.
+    positive rescaling does not change the circle map.  Entry j does not
+    depend on max_bit, so a longer table extends a shorter one.
     """
     table = []
     m = [list(row) for row in g.m]
@@ -199,38 +200,64 @@ def renormalized_power_table(g, max_bit):
         s = float(np.max(np.abs(mm)))
         if s == 0.0:
             raise SingularMatrix("matrix power collapsed to zero")
-        f0 = _table_apply(table, j, _table_apply(table, j, 0.0))
+        # f_{g^(2^(j+1))}(0) = f_{g^(2^j)}(f0_j)
+        f0 = float(_table_apply(table, j, np.array([f0]))[0])
         m = (mm / s).tolist()
         logscale = 2.0 * logscale + math.log(s)
     return table
 
 
+def _cossin_pi_array(x):
+    """_cossin_pi elementwise on an array of x in [0, 1)."""
+    low = x <= 0.25
+    high = x > 0.75
+    t = np.where(low, x, np.where(high, 1.0 - x, 0.5 - x))
+    a = np.cos(math.pi * t)
+    b = np.sin(math.pi * t)
+    return np.where(low, a, np.where(high, -a, b)), np.where(low | high, b, a)
+
+
 def _table_apply(table, j, phi):
-    """f_{g^(2^j)}(phi), splitting into half powers when the renormalized
-    matrix has lost the contracted direction to float underflow (an exact
-    eigen-phase would otherwise map to atan2(0, 0))."""
+    """_lift_eval of entry j on a 1-D array of phases, splitting into half
+    powers where the renormalized matrix has lost the contracted direction to
+    float underflow (an exact eigen-phase would otherwise map to atan2(0, 0)).
+    atan2 is libm's: numpy's may differ from it in the last ulp."""
     m, _, f0 = table[j]
-    k = math.floor(phi)
-    c, s = _cossin_pi(phi - k)
+    k = np.floor(phi)
+    c, s = _cossin_pi_array(phi - k)
     vx = m[0][0] * c + m[0][1] * s
     vy = m[1][0] * c + m[1][1] * s
-    if j == 0 or vx != 0.0 or vy != 0.0:
-        return _lift_eval(m, f0, phi)
-    half = _table_apply(table, j - 1, phi)
-    return _table_apply(table, j - 1, half)
+    theta = np.fromiter(map(math.atan2, vy.tolist(), vx.tolist()), float, len(phi))
+    inc = (theta / math.pi - _base_phase(m)) % 2.0
+    inc = np.where(inc > 1.5, inc - 2.0, inc)  # wobble just below 0 wrapped around
+    out = f0 + k + np.where(inc < 0.0, 0.0, inc)
+    lost = (vx == 0.0) & (vy == 0.0)
+    if j and lost.any():
+        out[lost] = _table_apply(table, j - 1, _table_apply(table, j - 1, phi[lost]))
+    return out
 
 
 def power_phase(table, phi, n):
-    """f_{g^n}(phi) using a renormalized power table (powers commute)."""
-    bit = 0
-    val = float(phi)
-    k = int(n)
-    while k:
-        if k & 1:
-            val = _table_apply(table, bit, val)
-        bit += 1
-        k >>= 1
-    return val
+    """f_{g^n}(phi) using a renormalized power table (powers commute).
+
+    phi and n may be scalars or 1-D arrays, broadcast against each other:
+    one call evaluates many phases, many exponents, or (phase, exponent)
+    pairs, walking the bits of n once.  Exponents lie in [0, 2^len(table)).
+    Two scalars give a float, anything else a float array.
+    """
+    scalar = np.ndim(phi) == 0 and np.ndim(n) == 0
+    val, n = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(phi, dtype=float)), np.atleast_1d(np.asarray(n, dtype=np.int64))
+    )
+    val = val.copy()
+    if (n < 0).any():
+        raise ValueError("exponents must be non-negative")
+    bits = int(np.bitwise_or.reduce(n, initial=0))  # bits set in some exponent
+    for bit in range(bits.bit_length()):
+        if bits >> bit & 1:
+            sel = (n >> bit) & 1 == 1
+            val[sel] = _table_apply(table, bit, val[sel])
+    return float(val[0]) if scalar else val
 
 
 def power_charge_log(table, w, n):
@@ -272,8 +299,7 @@ def translation_number(g, n_max=4096, details=False):
         raise ValueError("n_max must be at least 16")
     table = renormalized_power_table(g, n_max.bit_length())
     half = n_max // 2
-    phi_half = power_phase(table, 0.0, half)
-    phi_full = power_phase(table, 0.0, n_max)
+    phi_half, phi_full = power_phase(table, 0.0, [half, n_max]).tolist()
     estimate = (phi_full - phi_half) / (n_max - half)
     if not details:
         return estimate

@@ -246,41 +246,32 @@ class MassStream:
             seq_top = min(SEQ_PREFIX, n_max)
         self.logs = np.zeros((len(factors), len(ns)))
         self.phis = np.zeros((len(factors), len(ns)))
-        index_of = {n: j for j, n in enumerate(ns)}
         Mg = np.array(g.m)
-        phase_cache = {}
+        # ns is sorted and starts with 1..seq_top; the phases beyond that
+        # prefix, for every distinct seed phase, come from one batched walk
+        geo_ns = ns[seq_top:]
+        distinct = list(dict.fromkeys(phi0 for _, phi0 in factors))
+        walked = cover.power_phase(
+            table, np.repeat(distinct, len(geo_ns)), np.tile(geo_ns, len(distinct))
+        ).reshape(len(distinct), len(geo_ns))
+        phis_of = {
+            phi0: _phase_orbit(g, phi0, seq_top)[1:] + row.tolist()
+            for phi0, row in zip(distinct, walked)
+        }
         for i, (w, phi0) in enumerate(factors):
             # sequential prefix: renormalized direct iteration
             v = w.copy()
             acc = math.log(float(np.linalg.norm(v)))
             v /= np.linalg.norm(v)
-            seq_logs = {}
-            for n in range(1, seq_top + 1):
+            seq_logs = []
+            for _ in range(seq_top):
                 v = Mg @ v
                 nv = float(np.linalg.norm(v))
                 acc += math.log(nv)
                 v /= nv
-                seq_logs[n] = acc
-            if phi0 in phase_cache:
-                seq_phis, geo_phis = phase_cache[phi0]
-            else:
-                seq_phis = {}
-                cur = phi0
-                for n in range(1, seq_top + 1):
-                    cur = cover.evaluate(g, cur)
-                    seq_phis[n] = cur
-                geo_phis = {
-                    n: cover.power_phase(table, phi0, n) for n in ns if n > seq_top
-                }
-                phase_cache[phi0] = (seq_phis, geo_phis)
-            for n in ns:
-                j = index_of[n]
-                if n <= seq_top:
-                    self.logs[i, j] = seq_logs[n]
-                    self.phis[i, j] = seq_phis[n]
-                else:
-                    self.logs[i, j], _ = cover.power_charge_log(table, w, n)
-                    self.phis[i, j] = geo_phis[n]
+                seq_logs.append(acc)
+            self.logs[i] = seq_logs + [cover.power_charge_log(table, w, n)[0] for n in geo_ns]
+            self.phis[i] = phis_of[phi0]
 
     def log_mass(self, t=0.0):
         """log m_{sigma,t}(Phi^n seed) for every schedule point."""
@@ -384,8 +375,7 @@ def _nu_estimate(g, phi, n_max):
         return detected[0], {"structure": "linear_plus_periodic", "period": detected[1]}
     table = cover.renormalized_power_table(g, int(n_max).bit_length())
     half = n_max // 2
-    a = cover.power_phase(table, phi, half)
-    b = cover.power_phase(table, phi, n_max)
+    a, b = cover.power_phase(table, phi, [half, n_max]).tolist()
     return (b - a) / (n_max - half), {"structure": "two_scale", "n_max": n_max}
 
 
@@ -419,13 +409,12 @@ def _pol_shifts(triple, seed, n_max, base):
     top, bottom = stability.phases(seed)
     ns = sorted(set(range(1, SEQ_PREFIX + 1)) | set(geometric_schedule(n_max)))
     table = cover.renormalized_power_table(triple.g, int(n_max).bit_length())
-
-    def stream(phi):
-        orbit = _phase_orbit(triple.g, phi, SEQ_PREFIX)
-        return [orbit[n] if n <= SEQ_PREFIX else cover.power_phase(table, phi, n) for n in ns]
-
-    ys_top = stream(top)
-    ys_bot = stream(bottom)
+    geo_ns = ns[SEQ_PREFIX:]
+    walked = cover.power_phase(
+        table, np.repeat([top, bottom], len(geo_ns)), np.tile(geo_ns, 2)
+    ).tolist()
+    ys_top = _phase_orbit(triple.g, top, SEQ_PREFIX)[1:] + walked[: len(geo_ns)]
+    ys_bot = _phase_orbit(triple.g, bottom, SEQ_PREFIX)[1:] + walked[len(geo_ns) :]
 
     def pol_of(ys, nu, diag):
         if diag.get("structure") == "linear_plus_periodic":

@@ -8,8 +8,9 @@ the listed semistables is exact; for unrelated data it is a lower bound.
 The quotient distance modulo the plane action minimizes max(A, B) over the
 acting complex number: A depends only on its real part (phase displacement)
 and B only on its imaginary part (log mass ratio), and both coordinate
-problems have closed-form minimizers, which a derivative-free polish then
-confirms.
+problems are solved exactly in closed form: the midrange of the phase
+displacements minimizes A, and the imaginary part that balances the two
+branches of the log mass ratio minimizes B.  Nothing is searched.
 """
 
 import math
@@ -102,26 +103,29 @@ def dB_over_set(sigma, tau, objects=None):
 # the two functionals of the orbit distance
 
 
-def _displacements(g, n, phases, grid):
-    table = cover.renormalized_power_table(g, max(1, int(n).bit_length()))
-    pts = list(phases)
+def _displacements(table, n, phases, grid):
+    """f_{g^n}(phi) - phi over the phases and, with grid, the phase grid."""
+    pts = np.asarray(phases, dtype=float)
     if grid:
-        pts.extend(np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False))
-    if not pts:
+        pts = np.concatenate([pts, np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False)])
+    if not pts.size:
         raise ValueError("no phases to evaluate")
-    return [cover.power_phase(table, p, n) - p for p in pts]
+    return cover.power_phase(table, pts, n) - pts
+
+
+def _power_table(g, n):
+    return cover.renormalized_power_table(g, max(1, int(n).bit_length()))
 
 
 def A_functional(g, n, alpha, phases=(), grid=True):
     """Sup of |f_{g^n}(phi) + Re alpha - phi| over the phase set."""
     alpha = complex(alpha)
-    disp = _displacements(g, n, phases, grid)
-    return float(max(abs(c + alpha.real) for c in disp))
+    disp = _displacements(_power_table(g, n), n, phases, grid)
+    return float(np.max(np.abs(disp + alpha.real)))
 
 
-def _log_opnorm_power(g, n):
-    """log of the spectral norm of M_g^n via renormalized squaring."""
-    table = cover.renormalized_power_table(g, max(1, int(n).bit_length()))
+def _log_opnorm_power(table, n):
+    """log of the spectral norm of M_g^n from g's renormalized power table."""
     M = np.eye(2)
     logscale = 0.0
     bit = 0
@@ -140,16 +144,6 @@ def _log_opnorm_power(g, n):
     return logscale + math.log(sv[0])
 
 
-def _log_norm_range_op(g, n):
-    """(log ||M^n||, log ||M^{-n}||) in the spectral operator norm.
-
-    The inverse norm comes from powers of the inverse element: reading it
-    off the smallest singular value of the forward power would drown in the
-    float noise floor once the conditioning passes 1e16.
-    """
-    return _log_opnorm_power(g, n), _log_opnorm_power(cover.inverse(g), n)
-
-
 def B_functional(g, n, alpha, S=None):
     """max(log norm, log inverse norm) of the alpha-twisted n-th power.
 
@@ -159,7 +153,11 @@ def B_functional(g, n, alpha, S=None):
     """
     alpha = complex(alpha)
     if S is None:
-        log_fwd, log_inv = _log_norm_range_op(g, n)
+        # the inverse norm comes from powers of the inverse element: reading
+        # it off the smallest singular value of the forward power would drown
+        # in the float noise floor once the conditioning passes 1e16
+        log_fwd = _log_opnorm_power(_power_table(g, n), n)
+        log_inv = _log_opnorm_power(_power_table(cover.inverse(g), n), n)
         return float(
             max(log_fwd - math.pi * alpha.imag, log_inv + math.pi * alpha.imag)
         )
@@ -169,7 +167,7 @@ def B_functional(g, n, alpha, S=None):
     if sv.size < 2 or sv[1] <= 1e-9 * sv[0]:
         raise NonSpanningSet("the charge set does not span the plane")
     Ma = cover.from_complex(alpha).matrix
-    table = cover.renormalized_power_table(g, max(1, int(n).bit_length()))
+    table = _power_table(g, n)
     ratios = []
     for v in vecs:
         norm = float(np.linalg.norm(v))
@@ -184,29 +182,6 @@ def B_functional(g, n, alpha, S=None):
 # quotient distance and translation length
 
 
-def _pattern_polish(fA, fB, re0, im0, steps=40):
-    """Coordinate pattern search on max(A(re), B(im)); confirms the closed
-    form and mops up any kink the separable solve might have missed."""
-    re, im = re0, im0
-    best = max(fA(re), fB(im))
-    step = 1e-3
-    for _ in range(steps):
-        improved = False
-        for dre, dim in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = max(fA(re + dre), fB(im + dim))
-            if cand < best - 1e-15:
-                best = cand
-                re += dre
-                im += dim
-                improved = True
-                break
-        if not improved:
-            step /= 4.0
-            if step < 1e-7:
-                break
-    return re, im, best
-
-
 def quotient_distance(triple, n, use_grid=True):
     """Distance from the base point to its n-th translate, minimized over
     the plane action.
@@ -219,25 +194,26 @@ def quotient_distance(triple, n, use_grid=True):
     """
     triple.require_verified()
     g = triple.g
-    sigma = triple.sigma
-    phases = sigma.phases()
-    disp = _displacements(g, n, phases, use_grid)
-    c_lo, c_hi = min(disp), max(disp)
-    re_opt = -(c_hi + c_lo) / 2.0
+    return _quotient_distance(
+        triple.sigma.phases(), _power_table(g, n), _power_table(cover.inverse(g), n), n, use_grid
+    )
 
-    log_fwd, log_inv = _log_norm_range_op(g, n)
+
+def _quotient_distance(phases, table, inv_table, n, use_grid):
+    """quotient_distance from power tables of g and of its inverse that
+    reach the bits of n."""
+    disp = _displacements(table, n, phases, use_grid)
+    c_lo, c_hi = float(disp.min()), float(disp.max())
+    # A(re) = max |c + re| is attained at an extreme c (rounding is
+    # monotone), and the midrange balances the two
+    re_opt = -(c_hi + c_lo) / 2.0
+    A_val = max(abs(c_hi + re_opt), abs(c_lo + re_opt))
+
+    log_fwd = _log_opnorm_power(table, n)
+    log_inv = _log_opnorm_power(inv_table, n)
     # branches of the log mass ratio: log_fwd - pi im and log_inv + pi im
     im_opt = (log_fwd - log_inv) / (2.0 * math.pi)
-
-    def A_of(re):
-        return max(abs(c + re) for c in disp)
-
-    def B_of(im):
-        return max(log_fwd - math.pi * im, log_inv + math.pi * im)
-
-    re_opt, im_opt, _ = _pattern_polish(A_of, B_of, re_opt, im_opt)
-    A_val = A_of(re_opt)
-    B_val = B_of(im_opt)
+    B_val = max(log_fwd - math.pi * im_opt, log_inv + math.pi * im_opt)
     return MetricSample(
         n=int(n),
         alpha_opt=complex(re_opt, im_opt),
@@ -284,13 +260,22 @@ def stable_translation_length(triple, n_max=64):
     alongside the endpoint estimate.
     """
     triple.require_verified()
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     ns = []
     k = 1
     while k < n_max:
         ns.append(k)
         k *= 2
-    ns.append(int(n_max))
-    samples = tuple(quotient_distance(triple, n) for n in ns)
+    ns.append(n_max)
+    g = triple.g
+    # entry j of a power table does not depend on its length, so one table
+    # per side serves every n
+    table = cover.renormalized_power_table(g, n_max.bit_length())
+    inv_table = cover.renormalized_power_table(cover.inverse(g), n_max.bit_length())
+    phases = triple.sigma.phases()
+    samples = tuple(_quotient_distance(phases, table, inv_table, n, True) for n in ns)
     estimate = samples[-1].distance / samples[-1].n
     fekete = min(s.distance / s.n for s in samples)
     return TranslationLengthReport(

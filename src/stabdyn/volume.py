@@ -54,6 +54,8 @@ def _charges(Z):
 
 
 def _pairing_sum(Z, pairing, conjugate_second=True):
+    if Z.rank != pairing.rank:
+        raise SingularPairing("pairing size does not match the charge rank")
     try:
         N, d = rational_inverse(pairing.chi)
     except SingularMatrix:
@@ -69,8 +71,6 @@ def _pairing_sum(Z, pairing, conjugate_second=True):
 
 def volume(Z, pairing):
     """|sum chi^{ij} Z(v_i) conj(Z(v_j))| over the standard basis."""
-    if Z.rank != pairing.rank:
-        raise SingularPairing("pairing size does not match the charge rank")
     return float(abs(_pairing_sum(Z, pairing, conjugate_second=True)))
 
 

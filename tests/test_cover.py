@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stabdyn import cover
 from stabdyn.cover import (
     GL2TildeElem,
     classify,
@@ -201,6 +202,71 @@ def test_power_table_survives_huge_exponents():
     logn, _ = power_charge_log(table, (1.0, 0.0), n)
     assert logn == pytest.approx(n * math.log(2.0), rel=1e-9)
     assert power_phase(table, 0.5, n) == pytest.approx(0.5, abs=1e-9)
+
+
+def _loop_power_phase(table, phi, n):
+    """Reference walk: one phase, one exponent, scalar lift per table entry."""
+
+    def apply(j, x):
+        m, _, f0 = table[j]
+        c, s = cover._cossin_pi(x - math.floor(x))
+        if j and m[0][0] * c + m[0][1] * s == 0.0 and m[1][0] * c + m[1][1] * s == 0.0:
+            return apply(j - 1, apply(j - 1, x))
+        return cover._lift_eval(m, f0, x)
+
+    val = float(phi)
+    for bit in range(int(n).bit_length()):
+        if n >> bit & 1:
+            val = apply(bit, val)
+    return val
+
+
+def _assert_batch_matches_scalars(table, phis, ns):
+    batch = power_phase(table, phis, ns)
+    pairs = np.broadcast_arrays(np.asarray(phis, dtype=float), np.asarray(ns))
+    pairs = list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(pairs),)
+    scalars = [power_phase(table, p, n) for p, n in pairs]
+    assert all(type(x) is float for x in scalars)
+    assert batch.tolist() == scalars
+    assert scalars == [_loop_power_phase(table, p, n) for p, n in pairs]
+
+
+def test_batched_walk_over_phases_equals_scalar_calls():
+    rng = np.random.default_rng(23)
+    special = [0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 1.0 - 2.0**-53, -(2.0**-60)]
+    for _ in range(8):
+        table = renormalized_power_table(random_elem(rng), 13)
+        phis = rng.uniform(-3.0, 3.0, size=40).tolist() + special
+        for n in (0, 1, 6, 1023, 4096, 12345):
+            _assert_batch_matches_scalars(table, phis, n)
+
+
+def test_batched_walk_over_exponents_equals_scalar_calls():
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        table = renormalized_power_table(random_elem(rng), 13)
+        ns = list(range(0, 70)) + [511, 512, 4095, 8191, 16383]
+        _assert_batch_matches_scalars(table, float(rng.uniform(-2.0, 2.0)), ns)
+        _assert_batch_matches_scalars(table, rng.uniform(-2.0, 2.0, size=len(ns)), ns)
+
+
+def test_batched_walk_keeps_the_underflow_half_split():
+    # M^(2^20) renormalized is diag(1, 0): phase 0.5 maps to atan2(0, 0)
+    # unless the entry is split into half powers
+    table = renormalized_power_table(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0), 21)
+    phis = [0.1, -0.7, 0.5, 0.3, 1.25, 2.9]
+    for n in (2**20, 2**20 + 12345):
+        _assert_batch_matches_scalars(table, phis, n)
+        assert power_phase(table, phis, n)[2] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_power_phase_rejects_negative_exponents():
+    table = renormalized_power_table(hyperbolic(2.0), 4)
+    with pytest.raises(ValueError):
+        power_phase(table, 0.0, -1)
+    with pytest.raises(ValueError):
+        power_phase(table, [0.0, 0.5], [3, -2])
 
 
 # --- translation number -----------------------------------------------------

@@ -197,6 +197,27 @@ def test_quotient_distance_requires_verified():
         quotient_distance(bad, 4)
 
 
+def test_closed_form_minimizers_are_not_improved_by_local_moves():
+    # moves of the size a coordinate pattern search would try, accepted only
+    # if they lower max(A, B) by more than 1e-15
+    rng = np.random.default_rng(59)
+    triples = [hyperbolic_triple(), gepner_triple()] + [
+        families.compatible_triple(rng, rank=2, kind=kind)
+        for kind in ("hyperbolic", "parabolic", "elliptic")
+    ]
+    for t in triples:
+        for n in (1, 5, 64, 4096):
+            s = quotient_distance(t, n)
+            re, im = s.alpha_opt.real, s.alpha_opt.imag
+            assert A_functional(t.g, n, re, phases=t.sigma.phases()) == s.A_value
+            assert B_functional(t.g, n, 1j * im) == s.B_value
+            for step in (1e-3, -1e-3, 1e-7, -1e-7):
+                moved_re = A_functional(t.g, n, re + step, phases=t.sigma.phases())
+                moved_im = B_functional(t.g, n, 1j * (im + step))
+                assert max(moved_re, s.B_value) >= s.distance - 1e-15
+                assert max(s.A_value, moved_im) >= s.distance - 1e-15
+
+
 # --- stable translation length ------------------------------------------------------
 
 
@@ -238,6 +259,33 @@ def test_translation_length_family_det_one():
         t = families.compatible_triple(rng, rank=2, kind=kind)
         rep = stable_translation_length(t, n_max=n_max)
         assert abs(rep.estimate - rep.closed_form) <= 0.05, (kind, rep.estimate, rep.closed_form)
+
+
+def test_translation_length_rejects_n_max_below_one():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            stable_translation_length(hyperbolic_triple(), n_max=n_max)
+
+
+def test_translation_length_builds_two_tables_and_one_inverse(monkeypatch):
+    calls = {"table": [], "inverse": 0}
+    build, invert = cover.renormalized_power_table, cover.inverse
+
+    def counting_build(g, max_bit):
+        calls["table"].append(max_bit)
+        return build(g, max_bit)
+
+    def counting_inverse(g):
+        calls["inverse"] += 1
+        return invert(g)
+
+    t = hyperbolic_triple()
+    monkeypatch.setattr(cover, "renormalized_power_table", counting_build)
+    monkeypatch.setattr(cover, "inverse", counting_inverse)
+    rep = stable_translation_length(t, n_max=100)
+    assert calls == {"table": [7, 7], "inverse": 1}
+    # the shared tables reproduce the per-n quotient distances exactly
+    assert rep.samples == tuple(quotient_distance(t, n) for n in (1, 2, 4, 8, 16, 32, 64, 100))
 
 
 def test_csv_rows_format():

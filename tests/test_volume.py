@@ -85,6 +85,13 @@ def test_singular_pairing_rejected():
         volume(Z, EulerPairing(chi=IntMatrix(((0, 0), (0, 0))), cy_parity=None))
 
 
+def test_rank_mismatch_rejected_by_volume_and_isotropy_defect():
+    Z = CentralCharge(((1.0, 0.0), (0.0, 1.0)))
+    for functional in (volume, isotropy_defect):
+        with pytest.raises(SingularPairing):
+            functional(Z, rank4_invariant_pairing())
+
+
 def test_conjugation_split_identity():
     rng = np.random.default_rng(71)
     for _ in range(20):
