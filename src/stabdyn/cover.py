@@ -42,19 +42,27 @@ def _base_phase(m):
     return _principal_phase(m[0][0], m[1][0])
 
 
-def _lift_eval(m, f0, phi):
-    """Closed-form continuous lift evaluation; m is a 2x2 nested sequence."""
-    k = math.floor(phi)
-    phi0 = phi - k
-    c, s = _cossin_pi(phi0)
-    theta = _principal_phase(m[0][0] * c + m[0][1] * s, m[1][0] * c + m[1][1] * s)
+def _walk(m, f0, phi, n, out=None):
+    """f^n(phi) for the closed-form continuous lift (m, f0), m a 2x2 nested
+    sequence; each iterate is appended to out when given.  The base phase is
+    computed once for all n steps."""
+    (a, b), (c, d) = m
     theta0 = _base_phase(m)
-    inc = (theta - theta0) % 2.0
-    if inc > 1.5:  # wobble just below 0 wrapped around
-        inc -= 2.0
-    if inc < 0.0:
-        inc = 0.0
-    return f0 + k + inc
+    for _ in range(n):
+        k = math.floor(phi)
+        cs, sn = _cossin_pi(phi - k)
+        inc = (math.atan2(c * cs + d * sn, a * cs + b * sn) / math.pi - theta0) % 2.0
+        if inc > 1.5:  # wobble just below 0 wrapped around
+            inc -= 2.0
+        phi = f0 + k + (0.0 if inc < 0.0 else inc)
+        if out is not None:
+            out.append(phi)
+    return phi
+
+
+def _lift_eval(m, f0, phi):
+    """One step of the lift (m, f0) at phi."""
+    return _walk(m, f0, phi, 1)
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,9 @@ def lift_from(M, f0):
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError("M must be 2x2")
+    for name, x in (("m", M), ("f0", f0)):
+        if not np.isfinite(x).all():
+            raise ValueError("%s = %s is not finite" % (name, np.asarray(x).tolist()))
     det = float(np.linalg.det(M))
     if det <= 0.0:
         raise NonPositiveDeterminant("det(M) = %.6g is not positive" % det)
@@ -127,6 +138,13 @@ def from_complex(alpha):
 def evaluate(g, phi):
     """f_g(phi) by continuous argument lifting, exactly equivariant."""
     return _lift_eval(g.m, g.f0, float(phi))
+
+
+def orbit(g, phi, n):
+    """[phi, f(phi), ..., f^n(phi)] in one _walk."""
+    out = [float(phi)]
+    _walk(g.m, g.f0, out[0], n, out)
+    return out
 
 
 def compose(g1, g2):
@@ -173,10 +191,7 @@ def power(g, n):
     if n < 0:
         return power(inverse(g), -n)
     Mn = np.linalg.matrix_power(g.matrix, n)
-    f0 = g.f0
-    for _ in range(n - 1):
-        f0 = _lift_eval(g.m, g.f0, f0)
-    return GL2TildeElem(m=tuple(map(tuple, Mn.tolist())), f0=f0)
+    return GL2TildeElem(m=tuple(map(tuple, Mn.tolist())), f0=_walk(g.m, g.f0, g.f0, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +202,9 @@ def renormalized_power_table(g, max_bit):
     """[(m_j, logscale_j, f0_j)] representing g^(2^j) with m_j renormalized.
 
     m_j * exp(logscale_j) = M^(2^j); the lift value f0_j is exact because a
-    positive rescaling does not change the circle map.  Entry j does not
-    depend on max_bit, so a longer table extends a shorter one.
+    positive rescaling does not change the circle map; f0_{j+1} is the scalar
+    _entry_apply of entry j to f0_j.  Entry j does not depend on max_bit, so
+    one table built at the largest bit serves every smaller exponent.
     """
     table = []
     m = [list(row) for row in g.m]
@@ -201,7 +217,7 @@ def renormalized_power_table(g, max_bit):
         if s == 0.0:
             raise SingularMatrix("matrix power collapsed to zero")
         # f_{g^(2^(j+1))}(0) = f_{g^(2^j)}(f0_j)
-        f0 = float(_table_apply(table, j, np.array([f0]))[0])
+        f0 = _entry_apply(table, j, f0)
         m = (mm / s).tolist()
         logscale = 2.0 * logscale + math.log(s)
     return table
@@ -217,11 +233,20 @@ def _cossin_pi_array(x):
     return np.where(low, a, np.where(high, -a, b)), np.where(low | high, b, a)
 
 
+def _entry_apply(table, j, phi):
+    """_table_apply of entry j on one phase, with the same half-split."""
+    m, _, f0 = table[j]
+    c, s = _cossin_pi(phi - math.floor(phi))
+    if j and m[0][0] * c + m[0][1] * s == 0.0 and m[1][0] * c + m[1][1] * s == 0.0:
+        return _entry_apply(table, j - 1, _entry_apply(table, j - 1, phi))
+    return _lift_eval(m, f0, phi)
+
+
 def _table_apply(table, j, phi):
     """_lift_eval of entry j on a 1-D array of phases, splitting into half
     powers where the renormalized matrix has lost the contracted direction to
-    float underflow (an exact eigen-phase would otherwise map to atan2(0, 0)).
-    atan2 is libm's: numpy's may differ from it in the last ulp."""
+    float underflow (an exact eigen-phase would otherwise map to atan2(0, 0)),
+    in the scalar _entry_apply.  atan2 is libm's: numpy's may differ."""
     m, _, f0 = table[j]
     k = np.floor(phi)
     c, s = _cossin_pi_array(phi - k)
@@ -233,7 +258,7 @@ def _table_apply(table, j, phi):
     out = f0 + k + np.where(inc < 0.0, 0.0, inc)
     lost = (vx == 0.0) & (vy == 0.0)
     if j and lost.any():
-        out[lost] = _table_apply(table, j - 1, _table_apply(table, j - 1, phi[lost]))
+        out[lost] = [_entry_apply(table, j, p) for p in phi[lost].tolist()]
     return out
 
 
@@ -261,9 +286,10 @@ def power_phase(table, phi, n):
 
 
 def power_charge_log(table, w, n):
-    """(log |M^n w|, unit direction of M^n w) via the renormalized table."""
+    """(log |M^n w|, unit direction of M^n w) via the renormalized table;
+    |v| is sqrt(v.v), as np.linalg.norm computes it, minus its dispatch."""
     v = np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         return -math.inf, v
     acc = math.log(norm)
@@ -274,7 +300,7 @@ def power_charge_log(table, w, n):
         if k & 1:
             m, logscale, _ = table[bit]
             v = np.array(m) @ v
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(v.dot(v))
             if norm == 0.0:
                 return -math.inf, v
             acc += logscale + math.log(norm)
@@ -288,6 +314,13 @@ def power_charge_log(table, w, n):
 # translation number and conjugacy classification
 
 
+def _two_scale(table, phi, n):
+    """((f^n(phi) - f^h(phi)) / (n - h), f^n(phi)) with h = n // 2."""
+    half = n // 2
+    phi_half, phi_full = power_phase(table, phi, [half, n]).tolist()
+    return (phi_full - phi_half) / (n - half), phi_full
+
+
 def translation_number(g, n_max=4096, details=False):
     """Estimate of lim f^n(0)/n with two-scale averaging.
 
@@ -298,9 +331,7 @@ def translation_number(g, n_max=4096, details=False):
     if n_max < 16:
         raise ValueError("n_max must be at least 16")
     table = renormalized_power_table(g, n_max.bit_length())
-    half = n_max // 2
-    phi_half, phi_full = power_phase(table, 0.0, [half, n_max]).tolist()
-    estimate = (phi_full - phi_half) / (n_max - half)
+    estimate, phi_full = _two_scale(table, 0.0, n_max)
     if not details:
         return estimate
     crude = phi_full / n_max
@@ -386,6 +417,7 @@ __all__ = [
     "inverse",
     "power",
     "translation_number",
+    "orbit",
     "classify",
     "renormalized_power_table",
     "power_phase",

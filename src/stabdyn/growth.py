@@ -3,7 +3,8 @@
 Masses along the iteration are tracked factor-by-factor in log scale: a
 factor's charge is stored as a unit vector plus log-modulus and updated
 through the 2x2 matrix part, so schedules reach n = 2^20 without overflow.
-Phases are iterated through the lift and cached per distinct starting phase.
+The stages of one public call share one power table of g and one sequential
+phase orbit per distinct starting phase (_Shared); nothing outlives the call.
 
 Rate extraction runs in two stages.  A sequential prefix of the stream is
 scanned for exact linear-plus-periodic structure (finite-order matrix parts
@@ -103,8 +104,8 @@ def _detect_linear_periodic(ns, ys, max_period=DETECT_MAX_PERIOD, tol=DETECT_TOL
     """(rate, period) when y(n+q) - y(n) is constant on a consecutive window.
 
     Requires a consecutive integer block inside the schedule; returns None
-    when no exact period is found (e.g. genuine log n growth)."""
-    run_end = len(ns) - 1
+    when no exact period is found (e.g. genuine log n growth).  All periods
+    are tested on one difference array; the rate keeps the type of ys."""
     # locate the longest consecutive run ending anywhere in the schedule
     best = (0, 0)
     start = 0
@@ -116,16 +117,18 @@ def _detect_linear_periodic(ns, ys, max_period=DETECT_MAX_PERIOD, tol=DETECT_TOL
     if len(ns) - start > best[1] - best[0]:
         best = (start, len(ns))
     lo, hi = best
-    block = ys[lo:hi]
     if hi - lo < 2 * max_period + 64:
         return None
     window = min(160, (hi - lo) // 2)
-    for q in range(1, max_period + 1):
-        diffs = [block[i + q] - block[i] for i in range(hi - lo - q - window, hi - lo - q)]
-        ref = diffs[-1]
-        if all(abs(d - ref) <= tol * max(1.0, abs(ref)) for d in diffs):
-            return ref / q, q
-    return None
+    block = np.asarray(ys[lo:hi], dtype=float)
+    cols = np.arange(hi - lo - window, hi - lo)  # row q-1 of diffs: y(n) - y(n-q)
+    diffs = block[cols] - block[cols - np.arange(1, max_period + 1)[:, None]]
+    ref = diffs[:, -1:]
+    passed = np.all(np.abs(diffs - ref) <= tol * np.maximum(1.0, np.abs(ref)), axis=1)
+    if not passed.any():
+        return None
+    q = int(np.argmax(passed)) + 1
+    return (ys[hi - 1] - ys[hi - 1 - q]) / q, q
 
 
 def _fit_stream(ns, ys):
@@ -149,8 +152,7 @@ def _fit_stream(ns, ys):
             "window": (float(ns[tail[0]]), float(ns[tail[-1]])),
         }
     a, _, _, rms, window = joint_rate_fit(ns, ys)
-    remainder = [y - a * n for n, y in zip(ns, ys)]
-    slope, win2, max_slope = log_slope_fit(ns, remainder)
+    slope, win2, max_slope = _poly_rate_about(ns, ys, a)
     return a, slope, {
         "structure": "fit",
         "fit_residual": rms,
@@ -162,9 +164,7 @@ def _fit_stream(ns, ys):
 
 def _poly_rate_about(ns, ys, rate):
     """Theil-Sen log n slope of the stream after removing a given linear rate."""
-    remainder = [y - rate * n for n, y in zip(ns, ys)]
-    slope, window, max_slope = log_slope_fit(ns, remainder)
-    return slope, window, max_slope
+    return log_slope_fit(ns, [y - rate * n for n, y in zip(ns, ys)])
 
 
 def fit_growth_report(samples, closed_form=None):
@@ -213,10 +213,31 @@ def _rho_s_of_2x2(M):
 # mass streams
 
 
+class _Shared:
+    """What the stages of one public call share: the power table of g for
+    exponents up to top_n (max(1024, n_max) covers the shifting numbers at
+    n_max and their translation number) and the seq-step orbit of each phase."""
+
+    def __init__(self, g, top_n, seq=SEQ_PREFIX):
+        self.g = g
+        self.seq = seq
+        self.table = cover.renormalized_power_table(g, int(top_n).bit_length())
+        self._orbits = {}
+
+    def orbit(self, phi):
+        """[phi, f(phi), ..., f^seq(phi)], walked once per phase."""
+        if phi not in self._orbits:
+            self._orbits[phi] = cover.orbit(self.g, phi, self.seq)
+        return self._orbits[phi]
+
+
 class MassStream:
     """Per-factor log-moduli and phases of the iterated seed object."""
 
     def __init__(self, triple, seed, n_max=4096, schedule=None):
+        self._fill(triple, seed, n_max, schedule, None)
+
+    def _fill(self, triple, seed, n_max, schedule, shared):
         triple.require_verified()
         self.triple = triple
         self.seed = seed
@@ -238,12 +259,9 @@ class MassStream:
             factors.append((w, d.phase))
         if not factors:
             raise ValueError("seed has no factors with nonzero charge")
-        max_bit = max(int(n).bit_length() for n in ns)
-        table = cover.renormalized_power_table(g, max_bit)
-
-        seq_top = 0
-        if schedule is None:
-            seq_top = min(SEQ_PREFIX, n_max)
+        seq_top = min(SEQ_PREFIX, n_max) if schedule is None else 0
+        shared = shared or _Shared(g, ns[-1], seq_top)
+        table = shared.table
         self.logs = np.zeros((len(factors), len(ns)))
         self.phis = np.zeros((len(factors), len(ns)))
         Mg = np.array(g.m)
@@ -255,18 +273,19 @@ class MassStream:
             table, np.repeat(distinct, len(geo_ns)), np.tile(geo_ns, len(distinct))
         ).reshape(len(distinct), len(geo_ns))
         phis_of = {
-            phi0: _phase_orbit(g, phi0, seq_top)[1:] + row.tolist()
+            phi0: (shared.orbit(phi0)[1 : seq_top + 1] if seq_top else []) + row.tolist()
             for phi0, row in zip(distinct, walked)
         }
         for i, (w, phi0) in enumerate(factors):
-            # sequential prefix: renormalized direct iteration
+            # sequential prefix: renormalized direct iteration, |v| = sqrt(v.v)
             v = w.copy()
-            acc = math.log(float(np.linalg.norm(v)))
-            v /= np.linalg.norm(v)
+            nv = math.sqrt(v.dot(v))
+            acc = math.log(nv)
+            v /= nv
             seq_logs = []
             for _ in range(seq_top):
                 v = Mg @ v
-                nv = float(np.linalg.norm(v))
+                nv = math.sqrt(v.dot(v))
                 acc += math.log(nv)
                 v /= nv
                 seq_logs.append(acc)
@@ -357,35 +376,27 @@ class ShiftingNumbers:
         }
 
 
-def _phase_orbit(g, phi, n_seq):
-    orbit = [phi]
-    cur = phi
-    for _ in range(n_seq):
-        cur = cover.evaluate(g, cur)
-        orbit.append(cur)
-    return orbit
-
-
-def _nu_estimate(g, phi, n_max):
+def _nu_estimate(shared, phi, n_max):
     """(nu, structure) for the orbit of one phase."""
-    orbit = _phase_orbit(g, phi, SEQ_PREFIX)
-    ns = list(range(0, SEQ_PREFIX + 1))
-    detected = _detect_linear_periodic(ns, orbit)
+    detected = _detect_linear_periodic(range(SEQ_PREFIX + 1), shared.orbit(phi))
     if detected is not None:
         return detected[0], {"structure": "linear_plus_periodic", "period": detected[1]}
-    table = cover.renormalized_power_table(g, int(n_max).bit_length())
-    half = n_max // 2
-    a, b = cover.power_phase(table, phi, [half, n_max]).tolist()
-    return (b - a) / (n_max - half), {"structure": "two_scale", "n_max": n_max}
+    nu, _ = cover._two_scale(shared.table, phi, n_max)
+    return nu, {"structure": "two_scale", "n_max": n_max}
 
 
 def shifting_numbers(triple, seed, n_max=2**16):
     """Linear phase drift of the extreme factor phases of the seed."""
     triple.require_verified()
+    return _shifts(_Shared(triple.g, max(1024, n_max)), seed, n_max)
+
+
+def _shifts(shared, seed, n_max):
+    """shifting_numbers on the work shared within one call."""
     top, bottom = stability.phases(seed)
-    nu_up, d_up = _nu_estimate(triple.g, top, n_max)
-    nu_lo, d_lo = _nu_estimate(triple.g, bottom, n_max)
-    tau = cover.translation_number(triple.g, max(1024, min(n_max, 2**14)))
+    nu_up, d_up = _nu_estimate(shared, top, n_max)
+    nu_lo, d_lo = _nu_estimate(shared, bottom, n_max)
+    tau, _ = cover._two_scale(shared.table, 0.0, max(1024, min(int(n_max), 2**14)))
     return ShiftingNumbers(
         nu_upper=float(nu_up),
         nu_lower=float(nu_lo),
@@ -401,26 +412,26 @@ def shifting_numbers(triple, seed, n_max=2**16):
 
 def pol_shifting_numbers(triple, seed, n_max=2**16):
     """Log n rates of the phase deviations, plus the sublinearity check."""
-    return _pol_shifts(triple, seed, n_max, shifting_numbers(triple, seed, n_max=n_max))
+    triple.require_verified()
+    shared = _Shared(triple.g, max(1024, n_max))
+    return _pol_shifts(shared, seed, n_max, _shifts(shared, seed, n_max))
 
 
-def _pol_shifts(triple, seed, n_max, base):
+def _pol_shifts(shared, seed, n_max, base):
     """pol_shifting_numbers from the already computed linear ones, base."""
     top, bottom = stability.phases(seed)
     ns = sorted(set(range(1, SEQ_PREFIX + 1)) | set(geometric_schedule(n_max)))
-    table = cover.renormalized_power_table(triple.g, int(n_max).bit_length())
     geo_ns = ns[SEQ_PREFIX:]
     walked = cover.power_phase(
-        table, np.repeat([top, bottom], len(geo_ns)), np.tile(geo_ns, 2)
+        shared.table, np.repeat([top, bottom], len(geo_ns)), np.tile(geo_ns, 2)
     ).tolist()
-    ys_top = _phase_orbit(triple.g, top, SEQ_PREFIX)[1:] + walked[: len(geo_ns)]
-    ys_bot = _phase_orbit(triple.g, bottom, SEQ_PREFIX)[1:] + walked[len(geo_ns) :]
+    ys_top = shared.orbit(top)[1:] + walked[: len(geo_ns)]
+    ys_bot = shared.orbit(bottom)[1:] + walked[len(geo_ns) :]
 
     def pol_of(ys, nu, diag):
         if diag.get("structure") == "linear_plus_periodic":
             return 0.0
-        slope, _, _ = log_slope_fit(ns, [y - nu * n for n, y in zip(ns, ys)])
-        return slope
+        return _poly_rate_about(ns, ys, nu)[0]
 
     nu_pol_up = pol_of(ys_top, base.nu_upper, base.diagnostics["upper"])
     nu_pol_lo = pol_of(ys_bot, base.nu_lower, base.diagnostics["lower"])
@@ -568,9 +579,10 @@ class InequalityReport:
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def _mass_rates(triple, seed, t_grid, n_max, schedule=None):
+def _mass_rates(shared, triple, seed, t_grid, n_max):
     """h_{sigma,t} and its polynomial companion for every t, one stream pass."""
-    stream = MassStream(triple, seed, n_max=n_max, schedule=schedule)
+    stream = MassStream.__new__(MassStream)
+    stream._fill(triple, seed, n_max, None, shared)
     rates = {}
     for t in t_grid:
         ys = stream.log_mass(t)
@@ -587,12 +599,13 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     """
     triple.require_verified()
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
-    _, rates = _mass_rates(triple, seed, t_grid, n_max)
+    n_shift = max(n_max, 2**14)
+    shared = _Shared(triple.g, max(1024, n_shift))  # n_shift >= n_max
+    _, rates = _mass_rates(shared, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    n_shift = max(n_max, 2**14)
-    shifts = shifting_numbers(triple, seed, n_max=n_shift)
-    pol_shifts = _pol_shifts(triple, seed, n_shift, shifts)
+    shifts = _shifts(shared, seed, n_shift)
+    pol_shifts = _pol_shifts(shared, seed, n_shift, shifts)
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -692,9 +705,11 @@ def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=N
     """Affinity of the mass growth in t against the shifting-number line."""
     triple.require_verified()
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
-    _, rates = _mass_rates(triple, seed, t_grid, n_max)
+    n_shift = max(n_max, 2**14)
+    shared = _Shared(triple.g, max(1024, n_shift))  # n_shift >= n_max
+    _, rates = _mass_rates(shared, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
-    shifts = shifting_numbers(triple, seed, n_max=max(n_max, 2**14))
+    shifts = _shifts(shared, seed, n_shift)
     nu = shifts.nu_upper
     fitted = tuple(rates[t][0] for t in t_grid)
     deviations = [abs(h - (h_sigma + nu * t)) for t, h in zip(t_grid, fitted)]

@@ -215,6 +215,25 @@ def test_translation_not_compatible_exit(tmp_path, capsys):
     assert main(["translation", path]) == 4
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("f0", float("nan"), "f0 = nan is not finite"),
+        ("m", [[math.inf, 1.0], [1.0, 1.0]], "m = [[inf, 1.0], [1.0, 1.0]] is not finite"),
+        ("m", [[2.0, float("nan")], [1.0, 1.0]], "m = [[2.0, nan], [1.0, 1.0]] is not finite"),
+    ],
+)
+@pytest.mark.parametrize("sub", ["check-triple", "translation"])
+def test_non_finite_cover_element_is_input_error(tmp_path, capsys, sub, field, value, message):
+    payload = hyperbolic_triple_payload()
+    payload["g"][field] = value
+    path = write(tmp_path / "t.json", payload)
+    assert main([sub, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
 # --- scenario ---------------------------------------------------------------------------
 
 

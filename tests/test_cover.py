@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabdyn import cover
+from stabdyn import cover, families
 from stabdyn.cover import (
     GL2TildeElem,
     classify,
@@ -259,6 +259,65 @@ def test_batched_walk_keeps_the_underflow_half_split():
     for n in (2**20, 2**20 + 12345):
         _assert_batch_matches_scalars(table, phis, n)
         assert power_phase(table, phis, n)[2] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_orbit_equals_iterated_evaluate():
+    rng = np.random.default_rng(37)
+    # at phase 2^-54 this matrix rounds the image phase just below f(0)
+    elems = [lift_from([[0.4, 0.5], [0.6, 0.9]], math.atan2(0.6, 0.4) / math.pi)]
+    elems += [random_elem(rng) for _ in range(6)]
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-1, 0, 2):
+            elems.append(families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g)
+    special = [0.0, 0.5, -0.25, 2.0**-54, 1.0 - 2.0**-53]
+    for g in elems:
+        for phi in special + rng.uniform(-3.0, 3.0, size=4).tolist():
+            orbit = cover.orbit(g, phi, 300)
+            expected = [phi]
+            for _ in range(300):
+                expected.append(evaluate(g, expected[-1]))
+            assert orbit == expected
+            assert all(type(x) is float for x in orbit)
+        # power keeps only the last iterate of the same walk
+        assert cover.power(g, 40).f0 == cover.orbit(g, g.f0, 39)[-1]
+    assert cover.orbit(hyperbolic(), 0.3, 0) == [0.3]
+
+
+def test_power_table_entries_equal_the_array_apply():
+    # f0_{j+1} comes from the scalar _entry_apply, which must give the bits
+    # of the batched array apply on a one-element array
+    rng = np.random.default_rng(41)
+    elems = [random_elem(rng) for _ in range(20)] + [lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0)]
+    for g in elems:
+        table = renormalized_power_table(g, 21)
+        for j in range(21):
+            f0 = float(cover._table_apply(table, j, np.array([table[j][2]]))[0])
+            assert table[j + 1][2] == f0
+
+
+def test_half_split_enters_the_array_apply_once_per_set_bit(monkeypatch):
+    table = renormalized_power_table(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0), 21)
+    calls = []
+    apply = cover._table_apply
+
+    def counting_apply(table, j, phi):
+        calls.append(j)
+        return apply(table, j, phi)
+
+    monkeypatch.setattr(cover, "_table_apply", counting_apply)
+    for n in (2**20, 2**20 + 12345):
+        calls.clear()
+        assert power_phase(table, 0.5, n) == _loop_power_phase(table, 0.5, n)
+        assert len(calls) <= bin(n).count("1")
+
+
+def test_lift_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="f0 = nan is not finite"):
+        lift_from([[1.0, 0.0], [0.0, 1.0]], float("nan"))
+    with pytest.raises(ValueError, match="m = .*inf.* is not finite"):
+        lift_from([[math.inf, 0.0], [0.0, 1.0]], 0.0)
+    with pytest.raises(ValueError, match="m = .*nan.* is not finite"):
+        lift_from([[1.0, float("nan")], [0.0, 1.0]], 0.0)
 
 
 def test_power_phase_rejects_negative_exponents():

@@ -7,6 +7,7 @@ from stabdyn import cover, families, stability
 from stabdyn.errors import EmptyTable, UnverifiedTriple
 from stabdyn.growth import (
     HomTable,
+    _detect_linear_periodic,
     MassStream,
     entropy_from_hom,
     epsilon_bounds_from_hom,
@@ -387,3 +388,111 @@ def test_linearity_with_hom_table_matches():
     t = curve_triple(1, m=0)
     rep = linearity_check(t, seed_of(t), n_max=4096, hom_table=p1_table(2048))
     assert rep.max_entropy_gap <= 5e-2
+
+
+# --- kernels and shared work -------------------------------------------------------------
+
+
+def _list_detect(ns, ys, max_period=48, tol=1e-9):
+    """Reference: the period detector as one Python list per period."""
+    best, start = (0, 0), 0
+    for i in range(1, len(ns)):
+        if ns[i] != ns[i - 1] + 1:
+            if i - start > best[1] - best[0]:
+                best = (start, i)
+            start = i
+    if len(ns) - start > best[1] - best[0]:
+        best = (start, len(ns))
+    lo, hi = best
+    block = ys[lo:hi]
+    if hi - lo < 2 * max_period + 64:
+        return None
+    window = min(160, (hi - lo) // 2)
+    for q in range(1, max_period + 1):
+        diffs = [block[i + q] - block[i] for i in range(hi - lo - q - window, hi - lo - q)]
+        ref = diffs[-1]
+        if all(abs(d - ref) <= tol * max(1.0, abs(ref)) for d in diffs):
+            return ref / q, q
+    return None
+
+
+def test_period_detector_matches_the_list_loop():
+    rng = np.random.default_rng(53)
+    ns = list(range(0, 513))
+    streams = [[0.1 * n for n in ns], [math.log(1 + n) for n in ns]]
+    for q in (1, 2, 5, 17, 47, 48, 49, 60):
+        wobble = rng.normal(size=q)
+        streams.append([0.37 * n + wobble[n % q] for n in ns])
+        streams.append([-1.5 * n + wobble[n % q] + 1e-12 * n * n for n in ns])
+    streams.append(list(cover.orbit(shift_triple(1).g, 0.3, 512)))
+    streams.append(list(cover.orbit(curve_triple(3).g, 0.3, 512)))
+    geo = sorted(set(range(1, 400)) | {512, 1024, 4096})
+    cases = [(ns, ys) for ys in streams]
+    cases += [(geo, [0.25 * n + (n % 7) for n in geo]), (ns[:159], streams[3][:159])]
+    cases += [(ns[:160], streams[3][:160])]
+    found = 0
+    for ns_, ys in cases:
+        for arg in (ys, np.asarray(ys)):
+            got, want = _detect_linear_periodic(ns_, arg), _list_detect(ns_, arg)
+            assert got == want
+            if want is not None:
+                found += 1
+                assert type(got[0]) is type(want[0]) and type(got[1]) is int
+    assert _detect_linear_periodic(ns[:159], streams[3][:159]) is None
+    assert found >= 20
+
+
+def _count_shared_work(monkeypatch, call):
+    counts = {"table": 0, "orbit": []}
+    build, walk = cover.renormalized_power_table, cover.orbit
+
+    def counting_build(g, max_bit):
+        counts["table"] += 1
+        return build(g, max_bit)
+
+    def counting_orbit(g, phi, n):
+        counts["orbit"].append(phi)
+        return walk(g, phi, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(cover, "renormalized_power_table", counting_build)
+        m.setattr(cover, "orbit", counting_orbit)
+        call()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, s: yomdin_suite(t, s, n_max=1024),
+        lambda t, s: linearity_check(t, s, n_max=1024),
+        lambda t, s: pol_shifting_numbers(t, s, n_max=4096),
+    ],
+    ids=["yomdin_suite", "linearity_check", "pol_shifting_numbers"],
+)
+def test_growth_calls_build_one_table_and_one_orbit_per_phase(monkeypatch, call):
+    rng = np.random.default_rng(59)
+    triples = [hyperbolic_triple(), curve_triple(3, m=1), shift_triple(2)]
+    triples += [families.compatible_triple(rng, rank=3, kind="parabolic", shift=1)]
+    for t in triples:
+        seed = seed_of(t)
+        first = _count_shared_work(monkeypatch, lambda: call(t, seed))
+        assert first["table"] == 1
+        assert len(first["orbit"]) == len(set(first["orbit"]))
+        assert set(first["orbit"]) <= {d.phase for d in seed.factors}
+        # nothing is kept between calls: a repeat does all the work again
+        assert _count_shared_work(monkeypatch, lambda: call(t, seed)) == first
+
+
+def test_mass_stream_alone_walks_only_its_prefix(monkeypatch):
+    # a stream with n_max below SEQ_PREFIX needs the orbit to n_max only
+    walk, lengths = cover.orbit, []
+
+    def counting_orbit(g, phi, n):
+        lengths.append(n)
+        return walk(g, phi, n)
+
+    monkeypatch.setattr(cover, "orbit", counting_orbit)
+    t = curve_triple(3, m=1)
+    MassStream(t, seed_of(t), n_max=64)
+    assert lengths and set(lengths) == {64}
