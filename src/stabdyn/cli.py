@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import growth, metric, scenarios, stability
-from ._fit import geometric_schedule, linear_schedule
+from ._fit import linear_schedule
 from .errors import StabDynError
 from .lattice import IntMatrix, spectral_data
 
@@ -106,7 +106,7 @@ def _default_seed(triple):
 def _schedule(kind, n_max):
     if kind == "linear":
         return linear_schedule(n_max)
-    return sorted(set(range(1, min(512, n_max) + 1)) | set(geometric_schedule(n_max)))
+    return growth.default_schedule(n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,9 @@ def cmd_translation(args):
 
 
 SCENARIO_FLAG_MAP = {
-    "curve": {"deg_L": "degL", "m": "m", "genus_class": "genus_class", "n_max": None},
+    "curve": {"deg_L": "degL", "m": "m", "n_max": None},
     "coh1": {"lam": "lam", "m": "m", "n_max": None},
-    "weak": {"d": "d", "intersection_number": "intersection", "m": "m", "n_max": None},
+    "weak": {"intersection_number": "intersection", "m": "m", "n_max": None},
     "ginzburg": {"phase1": "p1", "phase2": "p2", "d": "d"},
     "pseudo-anosov": {"matrix": "matrix", "n_max": None},
 }
@@ -254,31 +254,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, *flags, needs_input=True):
+        """--n-max, --format and --out, plus the named flags the handler reads."""
         if needs_input:
             p.add_argument("input", help="JSON input file")
-        p.add_argument("--tol", type=float, default=1e-9)
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--n-max", dest="n_max", type=int, default=4096)
-        p.add_argument("--schedule", choices=("geom", "linear"), default="geom")
-        p.add_argument("--t-grid", dest="t_grid", type=_parse_t_grid,
-                       default=growth.DEFAULT_T_GRID)
+        if "schedule" in flags:
+            p.add_argument("--schedule", choices=("geom", "linear"), default="geom")
+        if "t_grid" in flags:
+            p.add_argument("--t-grid", dest="t_grid", type=_parse_t_grid,
+                           default=growth.DEFAULT_T_GRID)
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("spectral", help="exact spectral data of an integer matrix")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("check-triple", help="verify a compatibility triple")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_check_triple)
 
     p = sub.add_parser("growth", help="mass growth along the iteration")
-    common(p)
+    common(p, "tol", "schedule", "t_grid")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("translation", help="stable translation length")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_translation)
 
     p = sub.add_parser("scenario", help="run a named worked example")
@@ -286,7 +290,6 @@ def build_parser():
     common(p, needs_input=False)
     p.add_argument("--degL", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--genus-class", dest="genus_class", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--intersection", type=float, default=None)

@@ -9,6 +9,11 @@ plane is a phase step of 2, and f is determined by M up to even integers.
 Evaluation uses the closed-form continuous lift: over phi in [0,1) the lift
 increases by less than 1 (monotone equivariance), so the increment is the
 unique mod-2 representative of the principal-angle difference lying in [0,1).
+
+Powers g^n come in closed form from one PowerRecord built from g (Putzer's
+formula for 2x2 matrices): phases, log charges and spectral norms of g^n for
+any n, elementwise over numpy arrays.  orbit and power keep the sequential
+walk, the reference the closed form is tested against.
 """
 
 import math
@@ -100,7 +105,10 @@ def lift_from(M, f0):
     for name, x in (("m", M), ("f0", f0)):
         if not np.isfinite(x).all():
             raise ValueError("%s = %s is not finite" % (name, np.asarray(x).tolist()))
-    det = float(np.linalg.det(M))
+    (a, b), (c, d) = M.tolist()
+    det = a * d - b * c  # Python floats: overflow gives inf, not a numpy warning
+    if not math.isfinite(det):
+        raise ValueError("det(M) = %r is not finite" % det)
     if det <= 0.0:
         raise NonPositiveDeterminant("det(M) = %.6g is not positive" % det)
     base = _principal_phase(M[0, 0], M[1, 0])
@@ -195,32 +203,7 @@ def power(g, n):
 
 
 # ---------------------------------------------------------------------------
-# renormalized power streams (internal; safe far beyond float overflow)
-
-
-def renormalized_power_table(g, max_bit):
-    """[(m_j, logscale_j, f0_j)] representing g^(2^j) with m_j renormalized.
-
-    m_j * exp(logscale_j) = M^(2^j); the lift value f0_j is exact because a
-    positive rescaling does not change the circle map; f0_{j+1} is the scalar
-    _entry_apply of entry j to f0_j.  Entry j does not depend on max_bit, so
-    one table built at the largest bit serves every smaller exponent.
-    """
-    table = []
-    m = [list(row) for row in g.m]
-    logscale = 0.0
-    f0 = g.f0
-    for j in range(max_bit + 1):
-        table.append((tuple(map(tuple, m)), logscale, f0))
-        mm = np.array(m) @ np.array(m)
-        s = float(np.max(np.abs(mm)))
-        if s == 0.0:
-            raise SingularMatrix("matrix power collapsed to zero")
-        # f_{g^(2^(j+1))}(0) = f_{g^(2^j)}(f0_j)
-        f0 = _entry_apply(table, j, f0)
-        m = (mm / s).tolist()
-        logscale = 2.0 * logscale + math.log(s)
-    return table
+# closed-form powers (safe far beyond float overflow)
 
 
 def _cossin_pi_array(x):
@@ -233,92 +216,193 @@ def _cossin_pi_array(x):
     return np.where(low, a, np.where(high, -a, b)), np.where(low | high, b, a)
 
 
-def _entry_apply(table, j, phi):
-    """_table_apply of entry j on one phase, with the same half-split."""
-    m, _, f0 = table[j]
-    c, s = _cossin_pi(phi - math.floor(phi))
-    if j and m[0][0] * c + m[0][1] * s == 0.0 and m[1][0] * c + m[1][1] * s == 0.0:
-        return _entry_apply(table, j - 1, _entry_apply(table, j - 1, phi))
-    return _lift_eval(m, f0, phi)
+@dataclass(frozen=True)
+class PowerRecord:
+    """Closed form of the powers of a cover element g, built by power_record.
 
+    m is the matrix part times 2^-exponent (exact), largest entry in [1, 2).
+    kind is the sign of disc = (a-d)^2 + 4bc: "hyperbolic", "parabolic"
+    (double root) or "elliptic".  roots is (u, s), the eigenvalues of m with
+    |u| >= |s|, or (r, theta, theta_lo) for r e^(+-i theta), theta_lo holding
+    the bits of the angle a double drops.  log_rho and log_det are the logs
+    of the spectral radius and determinant of the matrix part, jordan the
+    size minus one of its largest Jordan block, tau the translation number.
 
-def _table_apply(table, j, phi):
-    """_lift_eval of entry j on a 1-D array of phases, splitting into half
-    powers where the renormalized matrix has lost the contracted direction to
-    float underflow (an exact eigen-phase would otherwise map to atan2(0, 0)),
-    in the scalar _entry_apply.  atan2 is libm's: numpy's may differ."""
-    m, _, f0 = table[j]
-    k = np.floor(phi)
-    c, s = _cossin_pi_array(phi - k)
-    vx = m[0][0] * c + m[0][1] * s
-    vy = m[1][0] * c + m[1][1] * s
-    theta = np.fromiter(map(math.atan2, vy.tolist(), vx.tolist()), float, len(phi))
-    inc = (theta / math.pi - _base_phase(m)) % 2.0
-    inc = np.where(inc > 1.5, inc - 2.0, inc)  # wobble just below 0 wrapped around
-    out = f0 + k + np.where(inc < 0.0, 0.0, inc)
-    lost = (vx == 0.0) & (vy == 0.0)
-    if j and lost.any():
-        out[lost] = [_entry_apply(table, j, p) for p in phi[lost].tolist()]
-    return out
-
-
-def power_phase(table, phi, n):
-    """f_{g^n}(phi) using a renormalized power table (powers commute).
-
-    phi and n may be scalars or 1-D arrays, broadcast against each other:
-    one call evaluates many phases, many exponents, or (phase, exponent)
-    pairs, walking the bits of n once.  Exponents lie in [0, 2^len(table)).
-    Two scalars give a float, anything else a float array.
+    Putzer: m^n = s^n I + [u, s]^n (m - s I), [u, s]^n = (u^n - s^n)/(u - s),
+    written c_n (alpha_n I + beta_n (m - mu I)) with bounded coefficients:
+    real roots c_n = u^(n-1), mu = s, alpha_n = s rho^(n-1),
+    beta_n = (1 - rho^n)/(1 - rho) for rho = s/u (log1p/expm1), n at a double
+    root; complex roots c_n = r^(n-1), mu = (a + d)/2, alpha_n = r cos(n theta),
+    beta_n = sin(n theta)/sin(theta).  All tend to n lambda^(n-1) as disc goes
+    to 0, so no tolerance decides the kind.
     """
-    scalar = np.ndim(phi) == 0 and np.ndim(n) == 0
-    val, n = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(phi, dtype=float)), np.atleast_1d(np.asarray(n, dtype=np.int64))
-    )
-    val = val.copy()
-    if (n < 0).any():
-        raise ValueError("exponents must be non-negative")
-    bits = int(np.bitwise_or.reduce(n, initial=0))  # bits set in some exponent
-    for bit in range(bits.bit_length()):
-        if bits >> bit & 1:
-            sel = (n >> bit) & 1 == 1
-            val[sel] = _table_apply(table, bit, val[sel])
-    return float(val[0]) if scalar else val
+
+    kind: str
+    m: tuple
+    exponent: int  # e
+    disc: float
+    roots: tuple
+    log_rho: float
+    jordan: int
+    tau: float
+    log_det: float
+
+    def _coeffs(self, n):
+        """(log c_n, sign of c_n, alpha_n, beta_n, mu), elementwise in n >= 0,
+        for the powers of 2^e m: log c_n = (n - 1) log_rho + e log 2."""
+        if (n < 0).any():
+            raise ValueError("exponents must be non-negative")
+        log_c = (n - 1) * self.log_rho + self.exponent * math.log(2.0)
+        (a, _), (_, d) = self.m
+        if self.kind == "elliptic":
+            r, theta, theta_lo = self.roots
+            # n theta as n t1 + n t2 with n t1 exact for n < 2^27
+            t1 = math.ldexp(round(math.ldexp(theta, 24)), -24)
+            a1, a2 = n * t1, n * ((theta - t1) + theta_lo)
+            cos = np.cos(a1) * np.cos(a2) - np.sin(a1) * np.sin(a2)
+            sin = np.sin(a1) * np.cos(a2) + np.cos(a1) * np.sin(a2)
+            return log_c, 1.0, r * cos, sin * (2.0 * r / math.sqrt(-self.disc)), 0.5 * (a + d)
+        u, s = self.roots
+        if s / u < 0.5:
+            log_ratio = math.log(s / u)
+        else:  # near a double root 1 - rho = sqrt(disc) / |u| has no cancellation
+            log_ratio = math.log1p(-math.sqrt(self.disc) / abs(u))
+        alpha = s * np.exp((n - 1) * log_ratio)
+        beta = n if log_ratio == 0.0 else np.expm1(n * log_ratio) / math.expm1(log_ratio)
+        sign = np.where((n - 1) % 2 == 1, math.copysign(1.0, u), 1.0)
+        return log_c, sign, alpha, beta, s
+
+    def _apply(self, x, y, n):
+        """(log scale, X, Y) with M^n (x, y) = e^scale (X, Y), elementwise."""
+        (a, b), (c, d) = self.m
+        log_c, sign, alpha, beta, mu = self._coeffs(n)
+        kx = (a - mu) * x + b * y
+        ky = c * x + (d - mu) * y
+        X = sign * (alpha * x + beta * kx)
+        Y = sign * (alpha * y + beta * ky)
+        if self.kind != "elliptic":
+            # an exact eigenvector of s, whose s rho^(n-1) term may underflow
+            eigen = (kx == 0.0) & (ky == 0.0)
+            if eigen.any():
+                s = self.roots[1]
+                flip = np.where(n % 2 == 1, math.copysign(1.0, s), 1.0)
+                X = np.where(eigen, flip * x, X)
+                Y = np.where(eigen, flip * y, Y)
+                log_c = np.where(eigen, n * math.log(abs(math.ldexp(s, self.exponent))), log_c)
+        return log_c, X, Y
+
+    def phase(self, phi, n):
+        """f_{g^n}(phi), elementwise over phi and n >= 0 broadcast together.
+
+        The value is the representative of arg(M^n v(phi)) / pi mod 2 in
+        (phi + n tau - 1, phi + n tau + 1): every degree-one lift F of a
+        circle map satisfies |F^n(x) - x - n tau| < 1.  Two scalars give a
+        float, anything else a float array.
+        """
+        phi, n = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(n, dtype=np.int64))
+        k = np.floor(phi)
+        cs, sn = _cossin_pi_array(phi - k)
+        _, x, y = self._apply(cs, sn, n)
+        turn = np.arctan2(y, x) / math.pi + k  # v(phi) = (-1)^k v(phi - k)
+        val = turn + 2.0 * np.round((phi + n * self.tau - turn) / 2.0)
+        val = np.where(n == 0, phi, val)
+        return float(val) if val.ndim == 0 else val
+
+    def log_charge(self, x, y, n):
+        """log |M^n (x, y)|, elementwise over x, y and n >= 0 broadcast."""
+        log_c, X, Y = self._apply(
+            np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(n, dtype=np.int64)
+        )
+        return log_c + np.log(np.hypot(X, Y))
+
+    def log_norms(self, n):
+        """(log ||M^n||, log ||M^-n||) in the spectral norm, elementwise in n.
+
+        For N = [[p, q], [r, t]], sigma_max = (|(p + t, r - q)| + |(p - t, r + q)|) / 2,
+        from ||N||_F^2 +- 2 det N; sigma_max sigma_min = det^n gives the
+        inverse norm log sigma_max - n log det.
+        """
+        n = np.asarray(n, dtype=np.int64)
+        (a, b), (c, d) = self.m
+        log_c, _, alpha, beta, mu = self._coeffs(n)
+        sigma = 0.5 * (
+            np.hypot(2.0 * alpha + beta * (a + d - 2.0 * mu), beta * (c - b))
+            + np.abs(beta) * math.hypot(a - d, b + c)
+        )
+        fwd = log_c + np.log(sigma)
+        return fwd, fwd - n * self.log_det
 
 
-def power_charge_log(table, w, n):
-    """(log |M^n w|, unit direction of M^n w) via the renormalized table;
-    |v| is sqrt(v.v), as np.linalg.norm computes it, minus its dispatch."""
-    v = np.asarray(w, dtype=float)
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        return -math.inf, v
-    acc = math.log(norm)
-    v = v / norm
-    bit = 0
-    k = int(n)
-    while k:
-        if k & 1:
-            m, logscale, _ = table[bit]
-            v = np.array(m) @ v
-            norm = math.sqrt(v.dot(v))
-            if norm == 0.0:
-                return -math.inf, v
-            acc += logscale + math.log(norm)
-            v = v / norm
-        bit += 1
-        k >>= 1
-    return acc, v
+def _theta_lo(x, y2, theta):
+    """atan2(sqrt(y2), x) - theta for a double theta in (0, pi) near it, to
+    about 2^-120 relative, in fixed point with 2^-p a 2^-128 fraction of
+    theta: n theta at large n needs more bits than a double holds."""
+    p = 128 - math.frexp(theta)[1]
+    one = 1 << p
+    t = int(math.ldexp(theta, p))  # exact
+    cs, term, k = [0, 0], one, 0
+    while term:  # Taylor series of cos theta and sin theta
+        cs[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term = term * t // (one * k)
+    y = math.isqrt(int(math.ldexp(y2, 2 * p)))
+    # sin(atan2(y, x) - theta) = (y cos theta - x sin theta) / |(x, y)|
+    resid = y * cs[0] - int(math.ldexp(x, p)) * cs[1]
+    return math.ldexp(resid, -2 * p) / math.hypot(x, math.sqrt(y2))
+
+
+def power_record(g):
+    """The PowerRecord of g, from the entries of its matrix part.
+
+    The discriminant is (a-d)^2 + 4bc rather than tr^2 - 4 det: exact on
+    integer entries, and free of cancellation near a parabolic element.
+    """
+    (a, b), (c, d) = g.m
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] - 1
+    a, b, c, d = (math.ldexp(x, -e) for x in (a, b, c, d))
+    m = ((a, b), (c, d))
+    det = a * d - b * c
+    log_det = math.log(math.ldexp(det, 2 * e))
+    delta = a - d
+    disc = delta * delta + 4.0 * b * c
+    tr = a + d
+    if disc < 0.0:
+        r, theta = math.sqrt(det), math.atan2(math.sqrt(-disc), tr)
+        # rotation sense: the sign of e1 x M e1, constant without real eigenvectors
+        tau = math.copysign(theta / math.pi, c)
+        tau += 2.0 * round((g.f0 - tau) / 2.0)  # |f(0) - tau| < 1
+        roots = (r, theta, _theta_lo(tr, -disc, theta))
+        return PowerRecord("elliptic", m, e, disc, roots, 0.5 * log_det, 0, tau, log_det)
+    # u is a or d plus a correction free of cancellation: exact when m is triangular
+    sign = math.copysign(1.0, tr)
+    root = math.sqrt(disc) + abs(delta)
+    u = (a if sign * delta >= 0.0 else d) + (sign * 2.0 * b * c / root if root else 0.0)
+    s = det / u
+    # the columns of m - s I span the eigenline of u, which f moves by the
+    # integer tau; a scalar matrix fixes every phase
+    ex, ey = max(((a - s, c), (b, d - s)), key=lambda v: abs(v[0]) + abs(v[1]))
+    phi_e = _principal_phase(ex, ey)
+    tau = float(round(_lift_eval(g.m, g.f0, phi_e) - phi_e))
+    kind = "hyperbolic" if disc > 0.0 else "parabolic"
+    jordan = int(disc == 0.0 and (b != 0.0 or c != 0.0))
+    log_rho = math.log(abs(math.ldexp(u, e)))
+    return PowerRecord(kind, m, e, disc, (u, s), log_rho, jordan, tau, log_det)
+
+
+def renormalized_power_table(g, max_bit):
+    """power_record(g); max_bit is ignored.  The name stays only for the
+    benchmark's per-layer spans."""
+    return power_record(g)
+
+
+def power_phase(record, phi, n):
+    """record.phase(phi, n).  The name stays only for the benchmark's
+    per-layer spans."""
+    return record.phase(phi, n)
 
 
 # ---------------------------------------------------------------------------
 # translation number and conjugacy classification
-
-
-def _two_scale(table, phi, n):
-    """((f^n(phi) - f^h(phi)) / (n - h), f^n(phi)) with h = n // 2."""
-    half = n // 2
-    phi_half, phi_full = power_phase(table, phi, [half, n]).tolist()
-    return (phi_full - phi_half) / (n - half), phi_full
 
 
 def translation_number(g, n_max=4096, details=False):
@@ -326,12 +410,14 @@ def translation_number(g, n_max=4096, details=False):
 
     The tail difference (f^n(0) - f^{n/2}(0)) / (n/2) cancels the bounded
     deviation of the orbit, so the error is O(1/n) with a small constant.
+    The exact value is power_record(g).tau.
     """
     n_max = int(n_max)
     if n_max < 16:
         raise ValueError("n_max must be at least 16")
-    table = renormalized_power_table(g, n_max.bit_length())
-    estimate, phi_full = _two_scale(table, 0.0, n_max)
+    half = n_max // 2
+    phi_half, phi_full = power_record(g).phase(0.0, [half, n_max]).tolist()
+    estimate = (phi_full - phi_half) / (n_max - half)
     if not details:
         return estimate
     crude = phi_full / n_max
@@ -419,7 +505,8 @@ __all__ = [
     "translation_number",
     "orbit",
     "classify",
+    "PowerRecord",
+    "power_record",
     "renormalized_power_table",
     "power_phase",
-    "power_charge_log",
 ]

@@ -1,17 +1,19 @@
 """Dynamical growth invariants of verified triples and Hom tables.
 
-Masses along the iteration are tracked factor-by-factor in log scale: a
-factor's charge is stored as a unit vector plus log-modulus and updated
-through the 2x2 matrix part, so schedules reach n = 2^20 without overflow.
-The stages of one public call share one power table of g and one sequential
-phase orbit per distinct starting phase (_Shared); nothing outlives the call.
+Masses along the iteration are tracked factor-by-factor in log scale: the
+log-modulus of every factor's charge at every schedule point, and the phase
+of every factor, come from one vectorized call on the closed-form power
+record of g (cover.PowerRecord), so schedules reach n = 2^20 and beyond
+without overflow and without drift.  The stages of one public call share
+that record; nothing outlives the call.
 
-Rate extraction runs in two stages.  A sequential prefix of the stream is
-scanned for exact linear-plus-periodic structure (finite-order matrix parts
-produce exactly periodic deviations, whose bounded wobble would otherwise
-bias any log n slope fit); when found, the linear rate is read off exactly
-and the polynomial rate is zero.  Otherwise rates come from least-squares /
-Theil-Sen fits over the declared geometric tail window.
+Rate extraction runs in two stages.  The dense prefix 1..SEQ_PREFIX of the
+default schedule is scanned for exact linear-plus-periodic structure
+(finite-order matrix parts produce exactly periodic deviations, whose
+bounded wobble would otherwise bias any log n slope fit); when found, the
+linear rate is read off exactly and the polynomial rate is zero.  Otherwise
+rates come from least-squares / Theil-Sen fits over the declared geometric
+tail window.
 """
 
 import math
@@ -31,7 +33,7 @@ from .errors import EmptyTable
 from .lattice import poly_growth_rate as _lattice_poly_growth_rate
 from .lattice import spectral_radius as _lattice_spectral_radius
 
-SEQ_PREFIX = 512  # sequential samples used for structure detection
+SEQ_PREFIX = 512  # dense schedule prefix scanned for structure
 DETECT_MAX_PERIOD = 48
 DETECT_TOL = 1e-9
 
@@ -191,44 +193,14 @@ def fit_growth_report(samples, closed_form=None):
     )
 
 
-def _rho_s_of_2x2(M):
-    """(log rho, s) of a real 2x2 matrix in closed form."""
-    M = np.asarray(M, dtype=float)
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    scale = max(tr * tr, abs(det), 1e-30)
-    disc = tr * tr - 4.0 * det
-    if disc > 1e-12 * scale:
-        lam = max(abs(tr + math.sqrt(disc)), abs(tr - math.sqrt(disc))) / 2.0
-        return math.log(lam), 0
-    if disc < -1e-12 * scale:
-        return 0.5 * math.log(det), 0
-    lam = tr / 2.0
-    off = max(abs(M[0, 1]), abs(M[1, 0]), abs(M[0, 0] - lam), abs(M[1, 1] - lam))
-    s = 0 if off <= 1e-9 * max(1.0, abs(lam)) else 1
-    return math.log(abs(lam)), s
+def default_schedule(n_max):
+    """The dense prefix 1..SEQ_PREFIX (capped at n_max) joined with the
+    geometric schedule to n_max."""
+    return sorted(set(range(1, min(SEQ_PREFIX, n_max) + 1)) | set(geometric_schedule(n_max)))
 
 
 # ---------------------------------------------------------------------------
 # mass streams
-
-
-class _Shared:
-    """What the stages of one public call share: the power table of g for
-    exponents up to top_n (max(1024, n_max) covers the shifting numbers at
-    n_max and their translation number) and the seq-step orbit of each phase."""
-
-    def __init__(self, g, top_n, seq=SEQ_PREFIX):
-        self.g = g
-        self.seq = seq
-        self.table = cover.renormalized_power_table(g, int(top_n).bit_length())
-        self._orbits = {}
-
-    def orbit(self, phi):
-        """[phi, f(phi), ..., f^seq(phi)], walked once per phase."""
-        if phi not in self._orbits:
-            self._orbits[phi] = cover.orbit(self.g, phi, self.seq)
-        return self._orbits[phi]
 
 
 class MassStream:
@@ -237,60 +209,32 @@ class MassStream:
     def __init__(self, triple, seed, n_max=4096, schedule=None):
         self._fill(triple, seed, n_max, schedule, None)
 
-    def _fill(self, triple, seed, n_max, schedule, shared):
+    def _fill(self, triple, seed, n_max, schedule, record):
         triple.require_verified()
         self.triple = triple
         self.seed = seed
         if schedule is None:
-            ns = sorted(set(range(1, min(SEQ_PREFIX, n_max) + 1)) | set(geometric_schedule(n_max)))
+            ns = default_schedule(n_max)
         else:
             ns = sorted({int(n) for n in schedule})
             if not ns or ns[0] < 1:
                 raise ValueError("schedule entries must be >= 1")
         self.ns = ns
-        g = triple.g
         Z = triple.sigma.Z
-        factors = []
+        charges, phases = [], []
         for d in seed.factors:
             z = stability.charge_of(Z, d.v)
-            w = np.array([z.real, z.imag])
-            if np.linalg.norm(w) == 0.0:
+            if z == 0:
                 continue  # weak data: exactly zero mass contribution
-            factors.append((w, d.phase))
-        if not factors:
+            charges.append((z.real, z.imag))
+            phases.append(d.phase)
+        if not charges:
             raise ValueError("seed has no factors with nonzero charge")
-        seq_top = min(SEQ_PREFIX, n_max) if schedule is None else 0
-        shared = shared or _Shared(g, ns[-1], seq_top)
-        table = shared.table
-        self.logs = np.zeros((len(factors), len(ns)))
-        self.phis = np.zeros((len(factors), len(ns)))
-        Mg = np.array(g.m)
-        # ns is sorted and starts with 1..seq_top; the phases beyond that
-        # prefix, for every distinct seed phase, come from one batched walk
-        geo_ns = ns[seq_top:]
-        distinct = list(dict.fromkeys(phi0 for _, phi0 in factors))
-        walked = cover.power_phase(
-            table, np.repeat(distinct, len(geo_ns)), np.tile(geo_ns, len(distinct))
-        ).reshape(len(distinct), len(geo_ns))
-        phis_of = {
-            phi0: (shared.orbit(phi0)[1 : seq_top + 1] if seq_top else []) + row.tolist()
-            for phi0, row in zip(distinct, walked)
-        }
-        for i, (w, phi0) in enumerate(factors):
-            # sequential prefix: renormalized direct iteration, |v| = sqrt(v.v)
-            v = w.copy()
-            nv = math.sqrt(v.dot(v))
-            acc = math.log(nv)
-            v /= nv
-            seq_logs = []
-            for _ in range(seq_top):
-                v = Mg @ v
-                nv = math.sqrt(v.dot(v))
-                acc += math.log(nv)
-                v /= nv
-                seq_logs.append(acc)
-            self.logs[i] = seq_logs + [cover.power_charge_log(table, w, n)[0] for n in geo_ns]
-            self.phis[i] = phis_of[phi0]
+        record = record or cover.power_record(triple.g)
+        w = np.array(charges)
+        n = np.array(ns)[None, :]
+        self.logs = record.log_charge(w[:, :1], w[:, 1:], n)
+        self.phis = record.phase(np.array(phases)[:, None], n)
 
     def log_mass(self, t=0.0):
         """log m_{sigma,t}(Phi^n seed) for every schedule point."""
@@ -306,8 +250,8 @@ def mass_growth(triple, seed, t=0.0, n_max=4096, schedule=None, stream=None):
     exp_rate, poly_rate, diag = _fit_stream(stream.ns, ys)
     closed = None
     if triple.spanning:
-        log_rho, s = _rho_s_of_2x2(triple.g.matrix)
-        closed = (log_rho, float(s))
+        record = cover.power_record(triple.g)
+        closed = (record.log_rho, float(record.jordan))
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys)),
         exp_rate=float(exp_rate),
@@ -328,9 +272,9 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20, schedule=None, stream=None
     exp_rate, _, diag = _fit_stream(stream.ns, ys)
     closed = None
     if triple.spanning and t == 0.0:
-        log_rho, s = _rho_s_of_2x2(triple.g.matrix)
-        closed = (log_rho, float(s))
-        rate_used = log_rho
+        record = cover.power_record(triple.g)
+        closed = (record.log_rho, float(record.jordan))
+        rate_used = record.log_rho
         source = "closed_form"
     else:
         rate_used = exp_rate
@@ -376,27 +320,30 @@ class ShiftingNumbers:
         }
 
 
-def _nu_estimate(shared, phi, n_max):
-    """(nu, structure) for the orbit of one phase."""
-    detected = _detect_linear_periodic(range(SEQ_PREFIX + 1), shared.orbit(phi))
+def _nu_estimate(phis, n_max):
+    """(nu, structure) for the phases of one orbit at n = 0..SEQ_PREFIX,
+    n_max // 2 and n_max."""
+    detected = _detect_linear_periodic(range(SEQ_PREFIX + 1), phis[: SEQ_PREFIX + 1])
     if detected is not None:
         return detected[0], {"structure": "linear_plus_periodic", "period": detected[1]}
-    nu, _ = cover._two_scale(shared.table, phi, n_max)
+    nu = (phis[-1] - phis[-2]) / (n_max - n_max // 2)
     return nu, {"structure": "two_scale", "n_max": n_max}
 
 
 def shifting_numbers(triple, seed, n_max=2**16):
     """Linear phase drift of the extreme factor phases of the seed."""
     triple.require_verified()
-    return _shifts(_Shared(triple.g, max(1024, n_max)), seed, n_max)
+    return _shifts(cover.power_record(triple.g), seed, n_max)
 
 
-def _shifts(shared, seed, n_max):
-    """shifting_numbers on the work shared within one call."""
+def _shifts(record, seed, n_max):
+    """shifting_numbers from the power record of g."""
     top, bottom = stability.phases(seed)
-    nu_up, d_up = _nu_estimate(shared, top, n_max)
-    nu_lo, d_lo = _nu_estimate(shared, bottom, n_max)
-    tau, _ = cover._two_scale(shared.table, 0.0, max(1024, min(int(n_max), 2**14)))
+    ns = list(range(SEQ_PREFIX + 1)) + [n_max // 2, n_max]
+    phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
+    nu_up, d_up = _nu_estimate(phis[0], n_max)
+    nu_lo, d_lo = _nu_estimate(phis[1], n_max)
+    tau = record.tau
     return ShiftingNumbers(
         nu_upper=float(nu_up),
         nu_lower=float(nu_lo),
@@ -413,20 +360,15 @@ def _shifts(shared, seed, n_max):
 def pol_shifting_numbers(triple, seed, n_max=2**16):
     """Log n rates of the phase deviations, plus the sublinearity check."""
     triple.require_verified()
-    shared = _Shared(triple.g, max(1024, n_max))
-    return _pol_shifts(shared, seed, n_max, _shifts(shared, seed, n_max))
+    record = cover.power_record(triple.g)
+    return _pol_shifts(record, seed, n_max, _shifts(record, seed, n_max))
 
 
-def _pol_shifts(shared, seed, n_max, base):
+def _pol_shifts(record, seed, n_max, base):
     """pol_shifting_numbers from the already computed linear ones, base."""
     top, bottom = stability.phases(seed)
-    ns = sorted(set(range(1, SEQ_PREFIX + 1)) | set(geometric_schedule(n_max)))
-    geo_ns = ns[SEQ_PREFIX:]
-    walked = cover.power_phase(
-        shared.table, np.repeat([top, bottom], len(geo_ns)), np.tile(geo_ns, 2)
-    ).tolist()
-    ys_top = shared.orbit(top)[1:] + walked[: len(geo_ns)]
-    ys_bot = shared.orbit(bottom)[1:] + walked[len(geo_ns) :]
+    ns = default_schedule(n_max)
+    ys_top, ys_bot = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :]).tolist()
 
     def pol_of(ys, nu, diag):
         if diag.get("structure") == "linear_plus_periodic":
@@ -579,10 +521,10 @@ class InequalityReport:
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def _mass_rates(shared, triple, seed, t_grid, n_max):
+def _mass_rates(record, triple, seed, t_grid, n_max):
     """h_{sigma,t} and its polynomial companion for every t, one stream pass."""
     stream = MassStream.__new__(MassStream)
-    stream._fill(triple, seed, n_max, None, shared)
+    stream._fill(triple, seed, n_max, None, record)
     rates = {}
     for t in t_grid:
         ys = stream.log_mass(t)
@@ -600,12 +542,12 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     triple.require_verified()
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
     n_shift = max(n_max, 2**14)
-    shared = _Shared(triple.g, max(1024, n_shift))  # n_shift >= n_max
-    _, rates = _mass_rates(shared, triple, seed, t_grid, n_max)
+    record = cover.power_record(triple.g)
+    _, rates = _mass_rates(record, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts = _shifts(shared, seed, n_shift)
-    pol_shifts = _pol_shifts(shared, seed, n_shift, shifts)
+    shifts = _shifts(record, seed, n_shift)
+    pol_shifts = _pol_shifts(record, seed, n_shift, shifts)
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -706,10 +648,10 @@ def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=N
     triple.require_verified()
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
     n_shift = max(n_max, 2**14)
-    shared = _Shared(triple.g, max(1024, n_shift))  # n_shift >= n_max
-    _, rates = _mass_rates(shared, triple, seed, t_grid, n_max)
+    record = cover.power_record(triple.g)
+    _, rates = _mass_rates(record, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
-    shifts = _shifts(shared, seed, n_shift)
+    shifts = _shifts(record, seed, n_shift)
     nu = shifts.nu_upper
     fitted = tuple(rates[t][0] for t in t_grid)
     deviations = [abs(h - (h_sigma + nu * t)) for t, h in zip(t_grid, fitted)]
@@ -749,4 +691,5 @@ __all__ = [
     "yomdin_suite",
     "linearity_check",
     "DEFAULT_T_GRID",
+    "default_schedule",
 ]

@@ -11,6 +11,10 @@ and B only on its imaginary part (log mass ratio), and both coordinate
 problems are solved exactly in closed form: the midrange of the phase
 displacements minimizes A, and the imaginary part that balances the two
 branches of the log mass ratio minimizes B.  Nothing is searched.
+
+Both functionals read the closed-form cover.PowerRecord of the acting
+element: phases for all (phase, n) pairs in one call, and the norms of M^n
+and M^-n from the singular values of M^n (sigma_max sigma_min = det^n).
 """
 
 import math
@@ -103,45 +107,22 @@ def dB_over_set(sigma, tau, objects=None):
 # the two functionals of the orbit distance
 
 
-def _displacements(table, n, phases, grid):
-    """f_{g^n}(phi) - phi over the phases and, with grid, the phase grid."""
+def _displacements(record, ns, phases, grid):
+    """f_{g^n}(phi) - phi over the phases and, with grid, the phase grid;
+    one row per exponent in ns."""
     pts = np.asarray(phases, dtype=float)
     if grid:
         pts = np.concatenate([pts, np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False)])
     if not pts.size:
         raise ValueError("no phases to evaluate")
-    return cover.power_phase(table, pts, n) - pts
-
-
-def _power_table(g, n):
-    return cover.renormalized_power_table(g, max(1, int(n).bit_length()))
+    return record.phase(pts[None, :], np.asarray(ns)[:, None]) - pts
 
 
 def A_functional(g, n, alpha, phases=(), grid=True):
     """Sup of |f_{g^n}(phi) + Re alpha - phi| over the phase set."""
     alpha = complex(alpha)
-    disp = _displacements(_power_table(g, n), n, phases, grid)
+    disp = _displacements(cover.power_record(g), [n], phases, grid)
     return float(np.max(np.abs(disp + alpha.real)))
-
-
-def _log_opnorm_power(table, n):
-    """log of the spectral norm of M_g^n from g's renormalized power table."""
-    M = np.eye(2)
-    logscale = 0.0
-    bit = 0
-    k = int(n)
-    while k:
-        if k & 1:
-            mj, lj, _ = table[bit]
-            M = np.array(mj) @ M
-            logscale += lj
-            s = float(np.max(np.abs(M)))
-            M /= s
-            logscale += math.log(s)
-        bit += 1
-        k >>= 1
-    sv = np.linalg.svd(M, compute_uv=False)
-    return logscale + math.log(sv[0])
 
 
 def B_functional(g, n, alpha, S=None):
@@ -152,12 +133,9 @@ def B_functional(g, n, alpha, S=None):
     identity (valid because the matrix acts bijectively on the charge rays).
     """
     alpha = complex(alpha)
+    record = cover.power_record(g)
     if S is None:
-        # the inverse norm comes from powers of the inverse element: reading
-        # it off the smallest singular value of the forward power would drown
-        # in the float noise floor once the conditioning passes 1e16
-        log_fwd = _log_opnorm_power(_power_table(g, n), n)
-        log_inv = _log_opnorm_power(_power_table(cover.inverse(g), n), n)
+        log_fwd, log_inv = record.log_norms(int(n))
         return float(
             max(log_fwd - math.pi * alpha.imag, log_inv + math.pi * alpha.imag)
         )
@@ -166,16 +144,12 @@ def B_functional(g, n, alpha, S=None):
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size < 2 or sv[1] <= 1e-9 * sv[0]:
         raise NonSpanningSet("the charge set does not span the plane")
-    Ma = cover.from_complex(alpha).matrix
-    table = _power_table(g, n)
-    ratios = []
-    for v in vecs:
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            continue
-        logimg, _ = cover.power_charge_log(table, Ma @ v, n)
-        ratios.append(logimg - math.log(norm))
-    return float(max(max(ratios), -min(ratios)))
+    w = np.array([v for v in vecs if v.any()])
+    twisted = w @ cover.from_complex(alpha).matrix.T
+    ratios = record.log_charge(twisted[:, 0], twisted[:, 1], int(n)) - np.log(
+        np.hypot(w[:, 0], w[:, 1])
+    )
+    return float(max(ratios.max(), -ratios.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +167,34 @@ def quotient_distance(triple, n, use_grid=True):
     spectral rate, matching the two-sided estimate behind the closed form.
     """
     triple.require_verified()
-    g = triple.g
-    return _quotient_distance(
-        triple.sigma.phases(), _power_table(g, n), _power_table(cover.inverse(g), n), n, use_grid
-    )
+    record = cover.power_record(triple.g)
+    return _quotient_distances(triple.sigma.phases(), record, [n], use_grid)[0]
 
 
-def _quotient_distance(phases, table, inv_table, n, use_grid):
-    """quotient_distance from power tables of g and of its inverse that
-    reach the bits of n."""
-    disp = _displacements(table, n, phases, use_grid)
-    c_lo, c_hi = float(disp.min()), float(disp.max())
-    # A(re) = max |c + re| is attained at an extreme c (rounding is
-    # monotone), and the midrange balances the two
-    re_opt = -(c_hi + c_lo) / 2.0
-    A_val = max(abs(c_hi + re_opt), abs(c_lo + re_opt))
-
-    log_fwd = _log_opnorm_power(table, n)
-    log_inv = _log_opnorm_power(inv_table, n)
-    # branches of the log mass ratio: log_fwd - pi im and log_inv + pi im
-    im_opt = (log_fwd - log_inv) / (2.0 * math.pi)
-    B_val = max(log_fwd - math.pi * im_opt, log_inv + math.pi * im_opt)
-    return MetricSample(
-        n=int(n),
-        alpha_opt=complex(re_opt, im_opt),
-        distance=float(max(A_val, B_val)),
-        A_value=float(A_val),
-        B_value=float(B_val),
-    )
+def _quotient_distances(phases, record, ns, use_grid):
+    """quotient_distance for every n in ns, from the power record of g."""
+    disp = _displacements(record, ns, phases, use_grid)
+    log_fwd, log_inv = record.log_norms(ns)
+    samples = []
+    for n, row, fwd, inv in zip(ns, disp, log_fwd.tolist(), log_inv.tolist()):
+        c_lo, c_hi = float(row.min()), float(row.max())
+        # A(re) = max |c + re| is attained at an extreme c (rounding is
+        # monotone), and the midrange balances the two
+        re_opt = -(c_hi + c_lo) / 2.0
+        A_val = max(abs(c_hi + re_opt), abs(c_lo + re_opt))
+        # branches of the log mass ratio: fwd - pi im and inv + pi im
+        im_opt = (fwd - inv) / (2.0 * math.pi)
+        B_val = max(fwd - math.pi * im_opt, inv + math.pi * im_opt)
+        samples.append(
+            MetricSample(
+                n=int(n),
+                alpha_opt=complex(re_opt, im_opt),
+                distance=float(max(A_val, B_val)),
+                A_value=float(A_val),
+                B_value=float(B_val),
+            )
+        )
+    return samples
 
 
 @dataclass(frozen=True)
@@ -237,19 +211,6 @@ class TranslationLengthReport:
             "fekete_min": self.fekete_min,
             "samples": [s.to_json() for s in self.samples],
         }
-
-
-def closed_form_translation_length(g):
-    """log of the spectral radius of the determinant-normalized matrix part."""
-    (a, b), (c, d) = g.m
-    det = a * d - b * c  # direct product form stays exact on integer input
-    tr = a + d
-    disc = tr * tr - 4.0 * det
-    if disc <= 0.0:
-        rho = math.sqrt(det)
-    else:
-        rho = max(abs(tr + math.sqrt(disc)), abs(tr - math.sqrt(disc))) / 2.0
-    return float(math.log(rho / math.sqrt(det)))
 
 
 def stable_translation_length(triple, n_max=64):
@@ -269,18 +230,13 @@ def stable_translation_length(triple, n_max=64):
         ns.append(k)
         k *= 2
     ns.append(n_max)
-    g = triple.g
-    # entry j of a power table does not depend on its length, so one table
-    # per side serves every n
-    table = cover.renormalized_power_table(g, n_max.bit_length())
-    inv_table = cover.renormalized_power_table(cover.inverse(g), n_max.bit_length())
-    phases = triple.sigma.phases()
-    samples = tuple(_quotient_distance(phases, table, inv_table, n, True) for n in ns)
+    record = cover.power_record(triple.g)
+    samples = tuple(_quotient_distances(triple.sigma.phases(), record, ns, True))
     estimate = samples[-1].distance / samples[-1].n
     fekete = min(s.distance / s.n for s in samples)
     return TranslationLengthReport(
         estimate=float(estimate),
-        closed_form=closed_form_translation_length(triple.g),
+        closed_form=float(record.log_rho - 0.5 * record.log_det),
         fekete_min=float(fekete),
         samples=samples,
     )
@@ -294,6 +250,5 @@ __all__ = [
     "B_functional",
     "quotient_distance",
     "stable_translation_length",
-    "closed_form_translation_length",
     "csv_rows",
 ]

@@ -111,8 +111,7 @@ def p1_hom_table(n_max=4096):
     return growth.HomTable({(n, 0): n + 1 for n in range(1, n_max + 1)})
 
 
-def curve_scenario(genus_class="zero", deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID,
-                   n_max=4096, pol_n_max=2**18):
+def curve_scenario(deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID, n_max=4096, pol_n_max=2**18):
     """Tensor-and-shift autoequivalence on the rank/degree lattice of a curve.
 
     The charge-twist matrix is unipotent, so the mass growth is the pure
@@ -120,8 +119,6 @@ def curve_scenario(genus_class="zero", deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRI
     The sections table of the degree-one twist cross-checks the vanishing
     entropy and its polynomial rate against the lattice prediction.
     """
-    if genus_class not in ("zero", "positive"):
-        raise ValueError("genus_class must be 'zero' or 'positive'")
     deg_L = int(deg_L)
     m = int(m)
     sign = (-1) ** m
@@ -166,8 +163,7 @@ def curve_scenario(genus_class="zero", deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRI
            pol_ent.poly_rate, 1.0, 0.15)
     return ScenarioReport(
         name="curve",
-        inputs={"genus_class": genus_class, "deg_L": deg_L, "m": m,
-                "t_grid": list(t_grid), "n_max": n_max},
+        inputs={"deg_L": deg_L, "m": m, "t_grid": list(t_grid), "n_max": n_max},
         triple=triple,
         claims=tuple(claims),
         extras=extras,
@@ -228,15 +224,13 @@ def coh1_scenario(lam=1, m=0, n_max=4096):
     )
 
 
-def weak_stability_scenario(d=2, intersection_number=1.0, m=0, n_max=2**16):
+def weak_stability_scenario(intersection_number=1.0, m=0, n_max=2**16):
     """Leading Hilbert-coefficient charge with the weak positivity convention.
 
     The twist matrix is the unipotent shear by the intersection ratio; the
     mass growth vanishes together with the spectral radius log, and the
     polynomial rate is one exactly when the ratio is nonzero.
     """
-    if int(d) < 1:
-        raise ValueError("dimension must be at least 1")
     c = float(intersection_number)
     m = int(m)
     sign = (-1) ** m
@@ -277,7 +271,7 @@ def weak_stability_scenario(d=2, intersection_number=1.0, m=0, n_max=2**16):
            shifts.nu_upper, float(m), 2e-3)
     return ScenarioReport(
         name="weak_stability",
-        inputs={"d": int(d), "intersection_number": c, "m": m, "n_max": n_max},
+        inputs={"intersection_number": c, "m": m, "n_max": n_max},
         triple=triple,
         claims=tuple(claims),
         extras={"mass_growth": rep, "polynomial": pol, "shifting": shifts},
@@ -336,15 +330,17 @@ def ginzburg_scenario(phase1=0.3, phase2=0.6, d=3):
     _claim(claims, "window gap equals one minus the sphere shift",
            "the first simple drops d-1 phase units",
            cert.gap, 1 - d, 0.0)
-    # the extension bound arg z2 <= arg(image of the extension) <= arg z1 fails
+    # the extension z1 + z2 of the simples has its phase strictly between
+    # theirs: the claim holds when p1 < mid < p2, the open interval centred
+    # at (p1 + p2) / 2 with half-width (p2 - p1) / 2
     mid = math.atan2(z12.imag, z12.real) / math.pi
     claims.append(
         ClaimRow(
-            claim="extension argument bound is violated",
+            claim="extension phase lies strictly between the simples",
             reference="the twisted extension sits strictly between the simples",
             value=mid,
-            expected=p1,
-            tolerance=0.0,
+            expected=(p1 + p2) / 2.0,
+            tolerance=(p2 - p1) / 2.0,
             passed=bool(p1 < mid < p2),
         )
     )

@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +224,7 @@ def test_translation_not_compatible_exit(tmp_path, capsys):
         ("f0", float("nan"), "f0 = nan is not finite"),
         ("m", [[math.inf, 1.0], [1.0, 1.0]], "m = [[inf, 1.0], [1.0, 1.0]] is not finite"),
         ("m", [[2.0, float("nan")], [1.0, 1.0]], "m = [[2.0, nan], [1.0, 1.0]] is not finite"),
+        ("m", [[1e300, 0.0], [1e300, 1e300]], "det(M) = inf is not finite"),
     ],
 )
 @pytest.mark.parametrize("sub", ["check-triple", "translation"])
@@ -232,6 +236,33 @@ def test_non_finite_cover_element_is_input_error(tmp_path, capsys, sub, field, v
     captured = capsys.readouterr()
     assert captured.err == "input error: %s\n" % message
     assert captured.out == ""
+
+
+def test_huge_finite_matrix_is_input_error_without_warnings(tmp_path):
+    # a cold process, so a numpy RuntimeWarning would reach stderr
+    payload = hyperbolic_triple_payload()
+    payload["g"] = {"m": [[1e300, 0.0], [1e300, 1e300]], "f0": 0.25}
+    path = write(tmp_path / "t.json", payload)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "stabdyn.cli", "check-triple", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: det(M) = inf is not finite\n"
+
+
+def test_flags_attach_only_where_they_are_read(tmp_path, capsys):
+    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    for argv in (["translation", path, "--t-grid", "0"],
+                 ["translation", path, "--schedule", "linear"],
+                 ["check-triple", path, "--t-grid", "0"],
+                 ["scenario", "curve", "--tol", "1e-6"],
+                 ["scenario", "curve", "--schedule", "geom"],
+                 ["scenario", "curve", "--genus-class", "zero"]):
+        assert main(argv) == 2, argv
+    capsys.readouterr()
+    assert main(["growth", path, "--n-max", "64", "--schedule", "linear", "--t-grid", "0",
+                 "--tol", "1e-9"]) == 0
 
 
 # --- scenario ---------------------------------------------------------------------------

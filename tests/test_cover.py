@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from stabdyn.cover import (
     inverse,
     lift_from,
     power,
-    power_charge_log,
     power_phase,
+    power_record,
     renormalized_power_table,
     translation_number,
 )
@@ -179,17 +181,18 @@ def test_negative_power():
     assert abs(e.f0) <= 1e-8
 
 
-# --- renormalized power streams --------------------------------------------
+# --- closed-form powers ------------------------------------------------------
 
 
 def test_power_table_matches_direct_power():
     rng = np.random.default_rng(16)
     g = random_elem(rng)
-    table = renormalized_power_table(g, 8)
+    table = renormalized_power_table(g, 8)  # the benchmark's name for power_record
+    assert table == power_record(g)
     for n in (1, 2, 3, 5, 8, 13, 21):
         direct = power(g, n)
         assert power_phase(table, 0.0, n) == pytest.approx(direct.f0, abs=1e-8)
-        logn, _ = power_charge_log(table, (1.0, 0.0), n)
+        logn = table.log_charge(1.0, 0.0, n)
         assert logn == pytest.approx(
             math.log(np.linalg.norm(direct.matrix @ np.array([1.0, 0.0]))), abs=1e-8
         )
@@ -199,66 +202,47 @@ def test_power_table_survives_huge_exponents():
     g = hyperbolic(2.0)
     table = renormalized_power_table(g, 21)
     n = 2**20
-    logn, _ = power_charge_log(table, (1.0, 0.0), n)
-    assert logn == pytest.approx(n * math.log(2.0), rel=1e-9)
+    assert table.log_charge(1.0, 0.0, n) == pytest.approx(n * math.log(2.0), rel=1e-9)
     assert power_phase(table, 0.5, n) == pytest.approx(0.5, abs=1e-9)
 
 
-def _loop_power_phase(table, phi, n):
-    """Reference walk: one phase, one exponent, scalar lift per table entry."""
-
-    def apply(j, x):
-        m, _, f0 = table[j]
-        c, s = cover._cossin_pi(x - math.floor(x))
-        if j and m[0][0] * c + m[0][1] * s == 0.0 and m[1][0] * c + m[1][1] * s == 0.0:
-            return apply(j - 1, apply(j - 1, x))
-        return cover._lift_eval(m, f0, x)
-
-    val = float(phi)
-    for bit in range(int(n).bit_length()):
-        if n >> bit & 1:
-            val = apply(bit, val)
-    return val
-
-
-def _assert_batch_matches_scalars(table, phis, ns):
-    batch = power_phase(table, phis, ns)
+def _assert_batch_matches_scalars(record, phis, ns):
+    batch = power_phase(record, phis, ns)
     pairs = np.broadcast_arrays(np.asarray(phis, dtype=float), np.asarray(ns))
     pairs = list(zip(pairs[0].tolist(), pairs[1].tolist()))
     assert isinstance(batch, np.ndarray) and batch.shape == (len(pairs),)
-    scalars = [power_phase(table, p, n) for p, n in pairs]
+    scalars = [power_phase(record, p, n) for p, n in pairs]
     assert all(type(x) is float for x in scalars)
-    assert batch.tolist() == scalars
-    assert scalars == [_loop_power_phase(table, p, n) for p, n in pairs]
+    assert batch.tolist() == pytest.approx(scalars, rel=1e-15, abs=1e-15)
 
 
 def test_batched_walk_over_phases_equals_scalar_calls():
     rng = np.random.default_rng(23)
     special = [0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 1.0 - 2.0**-53, -(2.0**-60)]
     for _ in range(8):
-        table = renormalized_power_table(random_elem(rng), 13)
+        record = power_record(random_elem(rng))
         phis = rng.uniform(-3.0, 3.0, size=40).tolist() + special
         for n in (0, 1, 6, 1023, 4096, 12345):
-            _assert_batch_matches_scalars(table, phis, n)
+            _assert_batch_matches_scalars(record, phis, n)
 
 
 def test_batched_walk_over_exponents_equals_scalar_calls():
     rng = np.random.default_rng(29)
     for _ in range(4):
-        table = renormalized_power_table(random_elem(rng), 13)
+        record = power_record(random_elem(rng))
         ns = list(range(0, 70)) + [511, 512, 4095, 8191, 16383]
-        _assert_batch_matches_scalars(table, float(rng.uniform(-2.0, 2.0)), ns)
-        _assert_batch_matches_scalars(table, rng.uniform(-2.0, 2.0, size=len(ns)), ns)
+        _assert_batch_matches_scalars(record, float(rng.uniform(-2.0, 2.0)), ns)
+        _assert_batch_matches_scalars(record, rng.uniform(-2.0, 2.0, size=len(ns)), ns)
 
 
-def test_batched_walk_keeps_the_underflow_half_split():
-    # M^(2^20) renormalized is diag(1, 0): phase 0.5 maps to atan2(0, 0)
-    # unless the entry is split into half powers
-    table = renormalized_power_table(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0), 21)
+def test_exact_eigen_phase_survives_underflow():
+    # s^n rho^(n-1) underflows for diag(2, 0.5): phase 0.5 would map to
+    # atan2(0, 0) without the exact-eigenvector rule
+    record = power_record(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0))
     phis = [0.1, -0.7, 0.5, 0.3, 1.25, 2.9]
     for n in (2**20, 2**20 + 12345):
-        _assert_batch_matches_scalars(table, phis, n)
-        assert power_phase(table, phis, n)[2] == pytest.approx(0.5, abs=1e-9)
+        _assert_batch_matches_scalars(record, phis, n)
+        assert power_phase(record, phis, n)[2] == 0.5
 
 
 def test_orbit_equals_iterated_evaluate():
@@ -271,6 +255,7 @@ def test_orbit_equals_iterated_evaluate():
             elems.append(families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g)
     special = [0.0, 0.5, -0.25, 2.0**-54, 1.0 - 2.0**-53]
     for g in elems:
+        record = power_record(g)
         for phi in special + rng.uniform(-3.0, 3.0, size=4).tolist():
             orbit = cover.orbit(g, phi, 300)
             expected = [phi]
@@ -278,37 +263,134 @@ def test_orbit_equals_iterated_evaluate():
                 expected.append(evaluate(g, expected[-1]))
             assert orbit == expected
             assert all(type(x) is float for x in orbit)
+            # the closed form against the sequential walk, as an oracle
+            longer = cover.orbit(g, phi, 512)
+            assert np.max(np.abs(record.phase(phi, np.arange(513)) - longer)) <= 1e-9
         # power keeps only the last iterate of the same walk
         assert cover.power(g, 40).f0 == cover.orbit(g, g.f0, 39)[-1]
     assert cover.orbit(hyperbolic(), 0.3, 0) == [0.3]
 
 
-def test_power_table_entries_equal_the_array_apply():
-    # f0_{j+1} comes from the scalar _entry_apply, which must give the bits
-    # of the batched array apply on a one-element array
-    rng = np.random.default_rng(41)
-    elems = [random_elem(rng) for _ in range(20)] + [lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0)]
+def _exact_power(m, n):
+    """m^n for a 2x2 integer matrix, by repeated squaring."""
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    out, sq = [[1, 0], [0, 1]], m
+    while n:
+        if n & 1:
+            out = mul(out, sq)
+        n >>= 1
+        if n:
+            sq = mul(sq, sq)
+    return out
+
+
+def _exact_log_charge(p, w, scale=1):
+    """log(|p w| / scale) for an integer matrix p and integer scale."""
+    x, y = (p[i][0] * w[0] + p[i][1] * w[1] for i in range(2))
+    v, s2 = x * x + y * y, scale * scale
+    if v < s2 << 1000:
+        return 0.5 * math.log1p((v - s2) / s2)
+    return 0.5 * (math.log(v) - math.log(s2))
+
+
+def _lifted(m):
+    return lift_from(m, math.atan2(m[1][0], m[0][0]) / math.pi)
+
+
+@pytest.mark.parametrize(
+    "m, ns",
+    [
+        # parabolic: integer powers grow linearly, so 2^40 stays cheap
+        (((0, -1), (1, 2)), (2**14, 2**20, 2**40)),
+        (((-11, -8), (18, 13)), (2**14, 2**20, 2**40)),
+        (((2, 1), (1, 1)), (2**14, 2**20)),
+        (((0, -1), (1, 1)), (2**14, 2**20)),
+    ],
+    ids=["parabolic", "parabolic-scan-worst", "hyperbolic", "elliptic"],
+)
+def test_log_charge_matches_exact_integer_powers(m, ns):
+    record = power_record(_lifted(m))
+    for n in ns:
+        p = _exact_power(m, n)
+        for w in ((1, 0), (0, 1), (3, -2)):
+            value, exact = record.log_charge(w[0], w[1], n), _exact_log_charge(p, w)
+            assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact)), (n, w, value, exact)
+
+
+def test_log_charge_near_parabolic_matches_rational_powers():
+    a = 1.0 + 1e-8
+    record = power_record(lift_from([[a, 1.0], [0.0, 1.0]], 0.0))
+    assert record.kind == "hyperbolic"
+    # the exact rational powers of the float matrix, as (den M)^n / den^n
+    num, den = a.as_integer_ratio()
+    p = _exact_power([[num, den], [0, den]], 8192)
+    for w in ((1, 0), (0, 1), (1, 1)):
+        exact = _exact_log_charge(p, w, den**8192)
+        assert abs(record.log_charge(w[0], w[1], 8192) - exact) <= 1e-12 * abs(exact)
+
+
+def test_contracting_eigen_charge_is_exact():
+    record = power_record(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0))
+    assert record.log_charge(0.0, 1.0, 4096) == -4096 * math.log(2.0)
+    # eigenvalues -2.5 and -1, and (1, 2) is an eigenvector of -1
+    record = power_record(_lifted(((-3.0, 1.0), (-1.0, -0.5))))
+    logs = record.log_charge(1.0, 2.0, np.array([1, 4096, 2**20]))
+    assert logs.tolist() == pytest.approx([0.5 * math.log(5.0)] * 3, rel=1e-15)
+
+
+def test_log_norms_match_the_singular_values_of_the_power():
+    rng = np.random.default_rng(47)
+    elems = [random_elem(rng) for _ in range(10)] + [from_complex(0.3 + 0.2j), hyperbolic(3.0)]
+    elems += [lift_from([[1.0, 1.0], [0.0, 1.0]], 0.0), lift_from([[2.0, 1.0], [0.0, 2.0]], 0.0)]
+    ns = np.arange(0, 25)
     for g in elems:
-        table = renormalized_power_table(g, 21)
-        for j in range(21):
-            f0 = float(cover._table_apply(table, j, np.array([table[j][2]]))[0])
-            assert table[j + 1][2] == f0
+        fwd, inv = power_record(g).log_norms(ns)
+        for n, f, i in zip(ns, fwd, inv):
+            for value, m in ((f, g.matrix), (i, np.linalg.inv(g.matrix))):
+                norm = np.linalg.norm(np.linalg.matrix_power(m, int(n)), 2)
+                assert value == pytest.approx(math.log(norm), abs=1e-9)
 
 
-def test_half_split_enters_the_array_apply_once_per_set_bit(monkeypatch):
-    table = renormalized_power_table(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0), 21)
-    calls = []
-    apply = cover._table_apply
+def test_phases_match_exact_integer_powers():
+    # the argument of the exact M^n v(phi), lifted next to the closed form
+    rng = np.random.default_rng(43)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-1, 0, 2):
+            g = families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g
+            m = [[int(x) for x in row] for row in g.m]
+            record = power_record(g)
+            for phi in (0.0, 0.5, -0.25, 2.0**-54, 1.0 - 2.0**-53, 0.3):
+                k = math.floor(phi)
+                c, s = cover._cossin_pi(phi - k)
+                ns = [0, 1, 2, 3, 7, 64, 255, 512, 4096]
+                got = record.phase(phi, ns)
+                for n, value in zip(ns, got.tolist()):
+                    p = _exact_power(m, n)
+                    x = p[0][0] * Fraction(c) + p[0][1] * Fraction(s)
+                    y = p[1][0] * Fraction(c) + p[1][1] * Fraction(s)
+                    h = max(abs(x), abs(y))
+                    turn = math.atan2(float(y / h), float(x / h)) / math.pi + k
+                    assert abs((value - turn) / 2.0 - round((value - turn) / 2.0)) <= 1e-12
+            # the lift: f_{g^n}(0) - n tau stays in (-1, 1), and tau is exact
+            assert abs(record.phase(0.0, 2**30) - 2**30 * record.tau) < 1.0
 
-    def counting_apply(table, j, phi):
-        calls.append(j)
-        return apply(table, j, phi)
 
-    monkeypatch.setattr(cover, "_table_apply", counting_apply)
-    for n in (2**20, 2**20 + 12345):
-        calls.clear()
-        assert power_phase(table, 0.5, n) == _loop_power_phase(table, 0.5, n)
-        assert len(calls) <= bin(n).count("1")
+def test_translation_number_is_read_off_the_record():
+    rng = np.random.default_rng(19)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-1, 0, 2):
+            g = families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g
+            tau = power_record(g).tau
+            assert translation_number(g, 2**16) == pytest.approx(tau, abs=1e-4)
+            if kind != "elliptic":
+                assert tau == shift
+    for alpha in (0.3, -0.7 + 0.4j, 2.5, 1.0 / 3.0):
+        assert power_record(from_complex(alpha)).tau == pytest.approx(
+            complex(alpha).real, abs=1e-15
+        )
 
 
 def test_lift_rejects_non_finite_entries():
@@ -320,12 +402,23 @@ def test_lift_rejects_non_finite_entries():
         lift_from([[1.0, float("nan")], [0.0, 1.0]], 0.0)
 
 
+def test_lift_rejects_a_non_finite_determinant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"det\(M\) = inf is not finite"):
+            lift_from([[1e300, 0.0], [1e300, 1e300]], 0.25)
+        with pytest.raises(ValueError, match=r"det\(M\) = nan is not finite"):
+            lift_from([[1e300, 1e300], [1e300, 1e300]], 0.25)
+
+
 def test_power_phase_rejects_negative_exponents():
-    table = renormalized_power_table(hyperbolic(2.0), 4)
+    record = power_record(hyperbolic(2.0))
     with pytest.raises(ValueError):
-        power_phase(table, 0.0, -1)
+        power_phase(record, 0.0, -1)
     with pytest.raises(ValueError):
-        power_phase(table, [0.0, 0.5], [3, -2])
+        power_phase(record, [0.0, 0.5], [3, -2])
+    with pytest.raises(ValueError):
+        record.log_charge(1.0, 0.0, [3, -2])
 
 
 # --- translation number -----------------------------------------------------
@@ -356,6 +449,12 @@ def test_translation_number_power_scaling():
         assert translation_number(power(g, k), 8192) == pytest.approx(
             k * tau, abs=2e-3
         )
+
+
+def test_translation_number_of_a_parabolic_element_has_no_drift():
+    g = lift_from([[-11.0, -8.0], [18.0, 13.0]], math.atan2(18.0, -11.0) / math.pi - 2.0)
+    assert power_record(g).tau == -2.0
+    assert abs(translation_number(g, 2**20) + 2.0) <= 1e-9
 
 
 def test_translation_number_requires_min_iterations():

@@ -9,7 +9,6 @@ from stabdyn.lattice import IntMatrix
 from stabdyn.metric import (
     A_functional,
     B_functional,
-    closed_form_translation_length,
     csv_rows,
     dB_over_set,
     quotient_distance,
@@ -241,7 +240,8 @@ def test_translation_length_gepner_zero():
 
 def test_translation_length_closed_form_scaling():
     g = cover.from_complex(0.3 + 0.7j)
-    assert closed_form_translation_length(g) == pytest.approx(0.0, abs=1e-12)
+    record = cover.power_record(g)
+    assert record.log_rho - 0.5 * record.log_det == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_step_distance_dominates_stable_length():
@@ -267,25 +267,29 @@ def test_translation_length_rejects_n_max_below_one():
             stable_translation_length(hyperbolic_triple(), n_max=n_max)
 
 
-def test_translation_length_builds_two_tables_and_one_inverse(monkeypatch):
-    calls = {"table": [], "inverse": 0}
-    build, invert = cover.renormalized_power_table, cover.inverse
+def test_translation_length_builds_one_record_and_no_inverse(monkeypatch):
+    calls = {"record": 0, "inverse": 0}
+    build, invert = cover.power_record, cover.inverse
 
-    def counting_build(g, max_bit):
-        calls["table"].append(max_bit)
-        return build(g, max_bit)
+    def counting_build(g):
+        calls["record"] += 1
+        return build(g)
 
     def counting_inverse(g):
         calls["inverse"] += 1
         return invert(g)
 
     t = hyperbolic_triple()
-    monkeypatch.setattr(cover, "renormalized_power_table", counting_build)
+    monkeypatch.setattr(cover, "power_record", counting_build)
     monkeypatch.setattr(cover, "inverse", counting_inverse)
     rep = stable_translation_length(t, n_max=100)
-    assert calls == {"table": [7, 7], "inverse": 1}
-    # the shared tables reproduce the per-n quotient distances exactly
-    assert rep.samples == tuple(quotient_distance(t, n) for n in (1, 2, 4, 8, 16, 32, 64, 100))
+    assert calls == {"record": 1, "inverse": 0}
+    # the one vectorized pass reproduces the per-n quotient distances
+    ns = (1, 2, 4, 8, 16, 32, 64, 100)
+    for got, want in zip(rep.samples, (quotient_distance(t, n) for n in ns)):
+        assert got.n == want.n
+        assert got.distance == pytest.approx(want.distance, rel=1e-14, abs=1e-14)
+        assert got.alpha_opt == pytest.approx(want.alpha_opt, rel=1e-14, abs=1e-14)
 
 
 def test_csv_rows_format():

@@ -19,7 +19,7 @@ GOLDEN2 = (3.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_curve_trivial_twist_all_rates_zero():
-    rep = curve_scenario(genus_class="positive", deg_L=0, m=0, n_max=1024, pol_n_max=4096)
+    rep = curve_scenario(deg_L=0, m=0, n_max=1024, pol_n_max=4096)
     assert rep.triple.verified
     assert rep.all_passed
     lin = rep.extras["linearity"]
@@ -28,7 +28,7 @@ def test_curve_trivial_twist_all_rates_zero():
 
 
 def test_curve_twist_and_shift():
-    rep = curve_scenario(genus_class="zero", deg_L=3, m=1, n_max=2048, pol_n_max=2**16)
+    rep = curve_scenario(deg_L=3, m=1, n_max=2048, pol_n_max=2**16)
     assert rep.triple.verified
     assert rep.all_passed
     assert rep.extras["linearity"].line_slope == pytest.approx(1.0, abs=5e-3)
@@ -36,15 +36,10 @@ def test_curve_twist_and_shift():
 
 
 def test_curve_degree_one_table_cross_check():
-    rep = curve_scenario(genus_class="zero", deg_L=1, m=0, n_max=2048, pol_n_max=2**16)
+    rep = curve_scenario(deg_L=1, m=0, n_max=2048, pol_n_max=2**16)
     assert rep.all_passed
     assert rep.extras["table_entropy"].exp_rate == pytest.approx(0.0, abs=1e-3)
     assert rep.extras["table_polynomial_entropy"].poly_rate == pytest.approx(1.0, abs=0.15)
-
-
-def test_curve_rejects_unknown_genus_class():
-    with pytest.raises(ValueError):
-        curve_scenario(genus_class="two")
 
 
 # --- quotient category -------------------------------------------------------
@@ -79,20 +74,20 @@ def test_coh1_rejects_non_integer():
 
 
 def test_weak_zero_intersection():
-    rep = weak_stability_scenario(d=2, intersection_number=0.0, m=0, n_max=4096)
+    rep = weak_stability_scenario(intersection_number=0.0, m=0, n_max=4096)
     assert rep.all_passed
     assert rep.extras["polynomial"].poly_rate == pytest.approx(0.0, abs=0.15)
 
 
 def test_weak_nonzero_intersection():
-    rep = weak_stability_scenario(d=3, intersection_number=1.0, m=0, n_max=2**16)
+    rep = weak_stability_scenario(intersection_number=1.0, m=0, n_max=2**16)
     assert rep.all_passed
     assert rep.extras["mass_growth"].exp_rate == pytest.approx(0.0, abs=1e-3)
     assert rep.extras["polynomial"].poly_rate == pytest.approx(1.0, abs=0.15)
 
 
 def test_weak_with_shift():
-    rep = weak_stability_scenario(d=2, intersection_number=1.0, m=2, n_max=2**16)
+    rep = weak_stability_scenario(intersection_number=1.0, m=2, n_max=2**16)
     assert rep.all_passed
     assert rep.extras["shifting"].nu_upper == pytest.approx(2.0, abs=2e-3)
 
@@ -107,6 +102,12 @@ def test_ginzburg_standard_instance():
     assert not rep.triple.verified
     assert rep.triple.failure.kind == "heart_window"
     assert rep.extras["certificate"].gap == -2
+    row = rep.claims[-1]
+    assert row.claim == "extension phase lies strictly between the simples"
+    assert row.passed is (0.3 < row.value < 0.6)
+    # unit charges: the extension bisects, at the centre of the interval
+    assert row.expected == pytest.approx(0.45) and row.tolerance == pytest.approx(0.15)
+    assert row.value == pytest.approx(row.expected, abs=1e-12)
 
 
 def test_ginzburg_second_instance():
@@ -170,7 +171,7 @@ def test_every_claim_row_carries_a_reference():
     reports = [
         curve_scenario(deg_L=1, m=0, n_max=1024, pol_n_max=4096),
         coh1_scenario(lam=1, m=1, n_max=1024),
-        weak_stability_scenario(d=2, intersection_number=1.0, m=0, n_max=4096),
+        weak_stability_scenario(intersection_number=1.0, m=0, n_max=4096),
         ginzburg_scenario(),
         pseudo_anosov_scenario(n_max=16),
     ]
