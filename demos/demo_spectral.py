@@ -1,6 +1,7 @@
 """Exact spectral data of integer matrices, cross-checked by norm growth.
 
-The library keeps the characteristic polynomial exact (Faddeev-LeVerrier over
+The library keeps the characteristic and minimal polynomials exact (Krylov
+chains e_j, A e_j, A^2 e_j, ... through one fraction-free elimination over
 Python integers) and only goes numerical at the final root extraction, so
 repeated eigenvalues keep their exact multiplicities.  The norm-growth
 estimator is an independent oracle for the same quantities: it never looks at

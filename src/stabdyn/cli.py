@@ -61,7 +61,11 @@ def _parse_matrix_file(path):
         data = data["matrix"]
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("expected a JSON array of arrays of integers")
-    return IntMatrix(tuple(tuple(int(x) for x in row) for row in data))
+    for row in data:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError("matrix entry %s is not an integer" % json.dumps(x))
+    return IntMatrix(tuple(map(tuple, data)))
 
 
 def _parse_triple_file(path, tol):
@@ -296,7 +300,7 @@ def build_parser():
     p.add_argument("--p1", type=float, default=None)
     p.add_argument("--p2", type=float, default=None)
     p.add_argument("--matrix", default=None, help='2x2 integer rows "a,b;c,d"')
-    p.set_defaults(func=cmd_scenario)
+    p.set_defaults(func=cmd_scenario, n_max=None)  # None: each scenario's own default
 
     return parser
 
@@ -310,7 +314,7 @@ def main(argv=None):
     if getattr(args, "tol", 1.0) <= 0.0:
         print("input error: tolerance must be positive", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "n_max", 16) < 16:
+    if getattr(args, "n_max", None) is not None and args.n_max < 16:
         print("input error: n_max must be at least 16", file=sys.stderr)
         return EXIT_INPUT
     try:

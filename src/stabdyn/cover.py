@@ -450,21 +450,17 @@ class CoverClassification:
 def classify(g, tol=1e-9):
     """Conjugacy type of M/sqrt(det), plus shape flags.
 
-    Two stretch-map readings are reported: the literal one (M is exactly
-    diag(lambda^{+-1}, lambda^{-+1}) with |lambda| > 1) and the conjugacy
-    -invariant one (det 1 and |trace| > 2).  The scalar-times-rotation shape
-    is flagged separately.
+    The type is power_record(g).kind, the sign of the exact discriminant, so
+    it always agrees with the closed form of the powers; tol only sets the
+    shape flags.  Two stretch-map readings are reported: the literal one (M
+    is exactly diag(lambda^{+-1}, lambda^{-+1}) with |lambda| > 1) and the
+    conjugacy-invariant one (det 1 and |trace| > 2).  The
+    scalar-times-rotation shape is flagged separately.
     """
+    conj = power_record(g).kind
     (a, b), (c, d) = g.m
     det = a * d - b * c
-    scale = math.sqrt(det)
-    tr = (a + d) / scale
-    if abs(tr) > 2.0 + tol:
-        conj = "hyperbolic"
-    elif abs(tr) >= 2.0 - tol:
-        conj = "parabolic"
-    else:
-        conj = "elliptic"
+    tr = (a + d) / math.sqrt(det)
 
     size = max(abs(a), abs(b), abs(c), abs(d))
     off_zero = abs(b) <= tol * size and abs(c) <= tol * size

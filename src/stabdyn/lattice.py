@@ -3,14 +3,20 @@
 The exact layer (characteristic/minimal polynomials, square-free splitting,
 determinants, inverses) runs on Python integers only, so nothing is rounded
 before the final root extraction.  One fraction-free Gauss-Jordan eliminator
-(Bareiss) backs determinants, inverses and minimal polynomials; the Yun
-square-free split uses primitive-PRS gcds and exact division by monic
-factors.  The numerical layer (root polishing, Jordan chain ranks,
-norm-growth estimation) is plain numpy float64 with the thresholds stated in
-the docstrings, so every test is reproducible.
+(Bareiss) backs all of it.  Determinants and inverses feed it the columns of
+A.  The characteristic and minimal polynomials feed it Krylov chains e_j,
+A e_j, A^2 e_j, ... (Keller-Gehrig 1985): the dependence that ends a chain
+gives a monic integer factor of the characteristic polynomial, chains
+sharing one eliminator multiply to it, and chains from fresh eliminators
+have the minimal polynomial as their lcm.  The Yun square-free split uses
+primitive-PRS gcds and exact division by monic factors.  The numerical
+layer (root polishing, Jordan chain ranks, norm-growth estimation) is plain
+numpy float64 with the thresholds stated in the docstrings, so every test is
+reproducible.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +76,7 @@ class IntMatrix:
         v = [int(x) for x in v]
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum(row[k] * v[k] for k in range(self.dim)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
     def power(self, k):
         if k < 0:
@@ -196,6 +202,15 @@ def _poly_sub(a, b):
     return _poly_trim([x - y for x, y in zip(a, b)])
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _poly_derivative(c):
     n = len(c) - 1
     if n == 0:
@@ -271,60 +286,82 @@ def _poly_eval(coeffs, x):
 
 
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
+# characteristic and minimal polynomials (Krylov chains, Keller-Gehrig 1985)
 
 
-def char_poly(A):
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion.
+def _krylov_chain(A, j, elim):
+    """Feed e_j, A e_j, A^2 e_j, ... into elim until one is dependent.
 
-    Exact over the integers; every division in the recursion is exact.
-    Coefficients are returned descending (leading 1 first).
+    Returns the monic polynomial of the chain, read off the dependence
+    coordinates on the chain's own pivot rows: A^k e_j = sum_i c_i A^i e_j
+    modulo the columns elim held before, so x^k - sum_i c_i x^i.  Over the
+    basis of all chains fed so far A is block upper triangular with
+    companion blocks, so the chain polynomial is a monic rational factor of
+    char_poly(A), integral by Gauss's lemma; an inexact division raises
+    ArithmeticError.  A chain whose e_j is already dependent returns [1].
     """
-    n = A.dim
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    M = A
-    trace = sum(M.entries[i][i] for i in range(n))
-    coeffs[1] = -trace
-    for k in range(2, n + 1):
-        shifted = IntMatrix(
-            tuple(
-                tuple(M.entries[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-        M = A @ shifted
-        trace = sum(M.entries[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
-        if r != 0:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        coeffs[k] = q
+    start = len(elim.rows)
+    v = [int(i == j) for i in range(A.dim)]
+    while True:
+        y = elim.feed(v)
+        if y is not None:
+            break
+        v = A.apply(v)
+    coeffs = [1]
+    for r in reversed(elim.rows[start:]):
+        c, rem = divmod(y[r], elim.pivot)
+        if rem:
+            raise ArithmeticError("chain polynomial is not integral")
+        coeffs.append(-c)
     return coeffs
 
 
-def min_poly(A):
-    """Exact monic minimal polynomial via the first linear dependence of powers.
+def char_poly(A):
+    """Monic characteristic polynomial as a product of Krylov chain polynomials.
 
-    vec(I), vec(A), vec(A^2), ... are fed lazily into one fraction-free
-    elimination; the first dependent power A^k = sum a_s A^s gives
-    mu = x^k - sum a_s x^s.  mu divides char_poly(A) in Z[x], so its
-    coefficients are integers.  Returns (coefficients descending,
-    used_char_poly=False).
+    Chains from e_0, e_1, ... are fed into one fraction-free elimination
+    until it holds n pivots; the chains then form a basis in which A is
+    block upper triangular with one companion block per chain.  A dense
+    (cyclic) matrix needs one chain, a derogatory one several.  Exact over
+    the integers; coefficients are returned descending (leading 1 first).
     """
     elim = _Bareiss()
-    power = IntMatrix.identity(A.dim)
-    for _ in range(A.dim + 1):
-        y = elim.feed([x for row in power.entries for x in row])
-        if y is not None:
-            coeffs = [1]
-            for r in reversed(elim.rows):
-                a, rem = divmod(y[r], elim.pivot)
-                if rem:
-                    raise ArithmeticError("expected integer coefficients")
-                coeffs.append(-a)
-            return coeffs, False
-        power = power @ A
-    raise ArithmeticError("no dependence found below dimension bound")
+    coeffs = [1]
+    for j in range(A.dim):
+        coeffs = _poly_mul(coeffs, _krylov_chain(A, j, elim))
+        if len(elim.rows) == A.dim:
+            break
+    return coeffs
+
+
+def _annihilates(A, coeffs, j):
+    """Whether coeffs(A) e_j = 0, by a Horner matrix-vector product."""
+    acc = [0] * A.dim
+    for c in coeffs:
+        acc = list(A.apply(acc))
+        acc[j] += c
+    return not any(acc)
+
+
+def min_poly(A):
+    """Exact monic minimal polynomial as the lcm of Krylov chain polynomials.
+
+    The chain from e_0 in a fresh elimination gives mu_{e_0}, the monic
+    generator of the polynomials that kill e_0.  If it has degree n it is
+    char_poly(A), hence mu.  Otherwise mu = lcm_j mu_{e_j}, each from a
+    fresh elimination; an e_j the lcm so far already kills is skipped.
+    Every mu_{e_j} divides char_poly(A) in Z[x], so the lcm (through the
+    monic gcd) stays integral.  Returns (coefficients descending,
+    used_char_poly=False).
+    """
+    mu = _krylov_chain(A, 0, _Bareiss())
+    for j in range(1, A.dim):
+        if len(mu) == A.dim + 1:
+            break
+        if not _annihilates(A, mu, j):
+            mu_j = _krylov_chain(A, j, _Bareiss())
+            mu = _poly_mul(mu, _poly_div_monic(mu_j, _poly_gcd(mu, mu_j)))
+    return mu, False
 
 
 # ---------------------------------------------------------------------------

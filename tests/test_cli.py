@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from stabdyn import scenarios
 from stabdyn.cli import main
 
 GOLDEN2 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -109,6 +111,16 @@ def test_spectral_malformed_json(tmp_path, capsys):
 
 def test_spectral_missing_file():
     assert main(["spectral", "/nonexistent/input.json"]) == 2
+
+
+@pytest.mark.parametrize("entry, shown", [(2.5, "2.5"), (True, "true"), ("3", '"3"')],
+                         ids=["float", "bool", "string"])
+def test_spectral_rejects_non_integer_entry(tmp_path, capsys, entry, shown):
+    path = write(tmp_path / "m.json", [[entry, 1], [1, 1]])
+    assert main(["spectral", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: matrix entry %s is not an integer\n" % shown
+    assert captured.out == ""
 
 
 # --- check-triple ---------------------------------------------------------------
@@ -283,6 +295,16 @@ def test_scenario_ginzburg_negative_is_exit_zero(capsys):
 
 def test_scenario_unknown_name():
     assert main(["scenario", "does-not-exist"]) == 2
+
+
+@pytest.mark.parametrize("name", ["curve", "coh1", "weak", "pseudo-anosov"])
+def test_scenario_n_max_defaults_to_the_scenarios_own(capsys, name):
+    default = inspect.signature(scenarios.SCENARIOS[name]).parameters["n_max"].default
+    assert main(["scenario", name]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["n_max"] == default
+    assert main(["scenario", name, "--n-max", "1024"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["n_max"] == 1024
+    assert main(["scenario", name, "--n-max", "8"]) == 2
 
 
 def test_scenario_text_format(capsys):

@@ -508,3 +508,17 @@ def test_classify_conjugated_stretch_not_literal():
 def test_classify_elliptic():
     g = lift_from([[0.0, -1.0], [1.0, 0.0]], 0.5)
     assert classify(g).conjugacy_type == "elliptic"
+
+
+def test_classify_kind_agrees_with_power_record():
+    near_parabolic = lift_from([[1.0 + 1e-8, 1.0], [0.0, 1.0]], 0.0)
+    assert classify(near_parabolic).conjugacy_type == "hyperbolic"
+    assert power_record(near_parabolic).kind == "hyperbolic"
+    rng = np.random.default_rng(61)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-1, 0, 1):
+            g = families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g
+            assert classify(g).conjugacy_type == power_record(g).kind == kind
+    for _ in range(20):
+        g = families.random_cover_element(rng)
+        assert classify(g).conjugacy_type == power_record(g).kind
