@@ -1,7 +1,10 @@
 """Slope-fitting helpers shared by the growth estimators.
 
-All estimators work on a declared tail window of the sample schedule; the
-window is returned so reports can document it.
+Every fit is row-batched: the rows of a (k, m) array are k streams sampled
+on one schedule ns (a float array), so the tail window, its log-spaced
+thinning and the Theil-Sen pair set are built once and shared by all rows.
+A single stream is a batch of one.  All estimators work on a declared tail
+window of the schedule; the window is returned so reports can document it.
 """
 
 import numpy as np
@@ -17,78 +20,108 @@ def tail_indices(ns, fraction=8, min_points=3):
     return idx
 
 
-def joint_rate_fit(ns, ys, fraction=8):
-    """Least-squares fit y ~ a*n + b*log n + c on the tail window.
+def joint_rate_fit(ns, Y, fraction=8):
+    """Least-squares fit y ~ a*n + b*log n + c on the tail window, per row of Y.
 
     Separating the log n regressor keeps the linear rate `a` clean when the
     stream carries a polynomial factor (e.g. ||A^n|| ~ n^s rho^n).  Returns
-    (a, b, c, rms_residual, window) where window = (n_lo, n_hi).
+    (a, rms_residual, window): a list of each per row, and window = (n_lo,
+    n_hi).  Each row is its own lstsq call, so a row's answer does not
+    depend on the batch it came in.
     """
-    ns = np.asarray(ns, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     idx = tail_indices(ns, fraction)
     n = ns[idx]
-    y = ys[idx]
+    window = (float(n[0]), float(n[-1]))
     if len(n) < 3:
         # under-determined: fall back to a plain slope
-        a = 0.0 if len(n) < 2 else (y[-1] - y[0]) / (n[-1] - n[0])
-        return a, 0.0, float(y[-1] - a * n[-1]), 0.0, (float(n[0]), float(n[-1]))
+        rates = [0.0 if len(n) < 2 else float((y[-1] - y[0]) / (n[-1] - n[0]))
+                 for y in Y[:, idx]]
+        return rates, [0.0] * len(Y), window
     design = np.column_stack([n, np.log(n), np.ones_like(n)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(coef[1]), float(coef[2]), rms, (float(n[0]), float(n[-1]))
+    rates, rms = [], []
+    for y in Y[:, idx]:
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        rates.append(float(coef[0]))
+        rms.append(float(np.sqrt(np.mean(resid**2))))
+    return rates, rms, window
 
 
-def theil_sen_slope(xs, ys):
-    """Median of pairwise slopes; robust against bounded periodic wobble."""
+def theil_sen_slope(xs, Y):
+    """Median of the pairwise slopes of each row of Y against the shared xs.
+
+    Robust against bounded periodic wobble.  The pairs with |dx| > 1e-12 are
+    taken once for all rows; a row with no such pair has slope 0.
+    """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    slopes = []
-    for i in range(len(xs)):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        keep = np.abs(dx) > 1e-12
-        slopes.extend((dy[keep] / dx[keep]).tolist())
-    if not slopes:
-        return 0.0
-    return float(np.median(slopes))
+    Y = np.asarray(Y, dtype=float)
+    i, j = np.nonzero(np.arange(len(xs))[:, None] < np.arange(len(xs)))  # pairs i < j
+    dx = xs[j] - xs[i]
+    keep = np.abs(dx) > 1e-12
+    if not keep.any():
+        return np.zeros(len(Y))
+    slopes = Y[:, j[keep]]
+    slopes -= Y[:, i[keep]]
+    slopes /= dx[keep]
+    return np.median(slopes, axis=1, overwrite_input=True)
 
 
 def _thin_logspaced(idx, ns, max_points=64):
-    """Subset of indices roughly uniform in log n (Theil-Sen is quadratic)."""
+    """Subset of indices roughly uniform in log n (Theil-Sen is quadratic).
+
+    Each of max_points log-spaced targets picks its nearest sample, the lower
+    one on a tie."""
     if len(idx) <= max_points:
         return idx
-    targets = np.geomspace(ns[idx[0]], ns[idx[-1]], max_points)
-    chosen = sorted({int(idx[np.argmin(np.abs(ns[idx] - t))]) for t in targets})
-    return np.array(chosen)
+    v = ns[idx]
+    targets = np.geomspace(v[0], v[-1], max_points)
+    hi = np.minimum(np.searchsorted(v, targets), len(v) - 1)
+    lo = np.maximum(hi - 1, 0)
+    pick = np.where(np.abs(v[lo] - targets) <= np.abs(v[hi] - targets), lo, hi)
+    return idx[np.unique(pick)]
 
 
-def log_slope_fit(ns, ys, fraction=8):
-    """Slope of y against log n over the tail window (Theil-Sen median).
+def suffix_slopes(x, Y):
+    """Least-squares slope of each row of Y against x on every suffix x[s:].
+
+    Suffixes have at least 3 points and stop at the first one spanning less
+    than 1e-9 in x.  The sums come from reversed cumulative sums of the
+    samples taken relative to the last point, which every suffix shares.
+    Returns a (k, number of suffixes) array.
+    """
+    starts = np.arange(max(len(x) - 2, 0))
+    short = np.flatnonzero(x[-1] - x[starts] < 1e-9)
+    count = int(short[0]) if len(short) else len(starts)
+    dx = x - x[-1]
+    dy = Y - Y[:, -1:]
+
+    def suffix_sums(a):
+        return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1][..., :count]
+
+    npts = (len(x) - starts)[:count]
+    sx = suffix_sums(dx)
+    sy = suffix_sums(dy)
+    return (suffix_sums(dx * dy) - sx * sy / npts) / (suffix_sums(dx * dx) - sx * sx / npts)
+
+
+def log_slope_fit(ns, Y, fraction=8):
+    """Slope of each row of Y against log n over the tail window (Theil-Sen).
 
     Used for polynomial rates, where least squares against log n is easily
     thrown off by bounded oscillation sampled at geometric points.  Returns
-    (slope, window, max_window_slope) where the last entry is the largest
-    suffix-window least-squares slope, kept as a limsup-flavoured diagnostic.
+    (slopes, window, max_window_slopes) with one float per row in each list.
+    max_window_slopes holds the largest suffix-window least-squares slope,
+    kept as a limsup-flavoured diagnostic (the Theil-Sen slope when there is
+    no suffix).
     """
-    ns = np.asarray(ns, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    idx = tail_indices(ns, fraction)
-    idx = _thin_logspaced(idx, ns)
+    idx = _thin_logspaced(tail_indices(ns, fraction), ns)
     x = np.log(ns[idx])
-    y = ys[idx]
-    slope = theil_sen_slope(x, y)
-    max_slope = -np.inf
-    for start in range(0, max(1, len(x) - 2)):
-        xs, yw = x[start:], y[start:]
-        if len(xs) < 3 or xs[-1] - xs[0] < 1e-9:
-            break
-        a = np.polyfit(xs, yw, 1)[0]
-        max_slope = max(max_slope, float(a))
-    if not np.isfinite(max_slope):
-        max_slope = slope
-    return slope, (float(ns[idx][0]), float(ns[idx][-1])), max_slope
+    Y = Y[:, idx]
+    slopes = theil_sen_slope(x, Y)
+    windows = suffix_slopes(x, Y)
+    max_slopes = windows.max(axis=1) if windows.shape[1] else slopes
+    max_slopes = np.where(np.isfinite(max_slopes), max_slopes, slopes)
+    return slopes.tolist(), (float(ns[idx[0]]), float(ns[idx[-1]])), max_slopes.tolist()
 
 
 def geometric_schedule(n_max, points_per_octave=4, n_min=1):

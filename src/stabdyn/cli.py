@@ -259,12 +259,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *flags, needs_input=True):
-        """--n-max, --format and --out, plus the named flags the handler reads."""
+        """--format and --out, plus the named flags the handler reads."""
         if needs_input:
             p.add_argument("input", help="JSON input file")
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--n-max", dest="n_max", type=int, default=4096)
+        if "n_max" in flags:
+            p.add_argument("--n-max", dest="n_max", type=int, default=4096)
         if "schedule" in flags:
             p.add_argument("--schedule", choices=("geom", "linear"), default="geom")
         if "t_grid" in flags:
@@ -282,16 +283,16 @@ def build_parser():
     p.set_defaults(func=cmd_check_triple)
 
     p = sub.add_parser("growth", help="mass growth along the iteration")
-    common(p, "tol", "schedule", "t_grid")
+    common(p, "tol", "n_max", "schedule", "t_grid")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("translation", help="stable translation length")
-    common(p, "tol")
+    common(p, "tol", "n_max")
     p.set_defaults(func=cmd_translation)
 
     p = sub.add_parser("scenario", help="run a named worked example")
     p.add_argument("name")
-    common(p, needs_input=False)
+    common(p, "n_max", needs_input=False)
     p.add_argument("--degL", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)

@@ -13,13 +13,15 @@ default schedule is scanned for exact linear-plus-periodic structure
 bounded wobble would otherwise bias any log n slope fit); when found, the
 linear rate is read off exactly and the polynomial rate is zero.  Otherwise
 rates come from least-squares / Theil-Sen fits over the declared geometric
-tail window.
+tail window.  Every stage runs once over all the streams that share a
+schedule, such as the t grid of one mass stream.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cover, stability
 from ._fit import (
@@ -30,8 +32,7 @@ from ._fit import (
     theil_sen_slope,
 )
 from .errors import EmptyTable
-from .lattice import poly_growth_rate as _lattice_poly_growth_rate
-from .lattice import spectral_radius as _lattice_spectral_radius
+from .lattice import spectral_data as _lattice_spectral_data
 
 SEQ_PREFIX = 512  # dense schedule prefix scanned for structure
 DETECT_MAX_PERIOD = 48
@@ -102,71 +103,97 @@ class HomTable:
 # structure detection and rate fitting
 
 
-def _detect_linear_periodic(ns, ys, max_period=DETECT_MAX_PERIOD, tol=DETECT_TOL):
-    """(rate, period) when y(n+q) - y(n) is constant on a consecutive window.
+def _consecutive_run(ns):
+    """(lo, hi) of the longest run of consecutive integers ns[lo:hi], the first on a tie."""
+    edges = np.concatenate(([0], np.flatnonzero(ns[1:] != ns[:-1] + 1) + 1, [len(ns)]))
+    k = int(np.argmax(edges[1:] - edges[:-1]))
+    return int(edges[k]), int(edges[k + 1])
 
-    Requires a consecutive integer block inside the schedule; returns None
-    when no exact period is found (e.g. genuine log n growth).  All periods
-    are tested on one difference array; the rate keeps the type of ys."""
-    # locate the longest consecutive run ending anywhere in the schedule
-    best = (0, 0)
-    start = 0
-    for i in range(1, len(ns)):
-        if ns[i] != ns[i - 1] + 1:
-            if i - start > best[1] - best[0]:
-                best = (start, i)
-            start = i
-    if len(ns) - start > best[1] - best[0]:
-        best = (start, len(ns))
-    lo, hi = best
+
+def _detect_linear_periodic(ns, rows, max_period=DETECT_MAX_PERIOD, tol=DETECT_TOL):
+    """Per row, (rate, period) when y(n+q) - y(n) is constant on a consecutive window.
+
+    Requires a consecutive integer block inside the schedule; a row gets None
+    when no exact period is found (e.g. genuine log n growth).  rows is a 2-D
+    array or a list of rows.  Every period of every row is screened on the
+    first window point; then each row's smallest open period is checked on
+    the whole window until one passes.  Each rate is read off its row, so it
+    keeps the row's type."""
+    lo, hi = _consecutive_run(np.asarray(ns, dtype=float))
     if hi - lo < 2 * max_period + 64:
-        return None
+        return [None] * len(rows)
     window = min(160, (hi - lo) // 2)
-    block = np.asarray(ys[lo:hi], dtype=float)
-    cols = np.arange(hi - lo - window, hi - lo)  # row q-1 of diffs: y(n) - y(n-q)
-    diffs = block[cols] - block[cols - np.arange(1, max_period + 1)[:, None]]
-    ref = diffs[:, -1:]
-    passed = np.all(np.abs(diffs - ref) <= tol * np.maximum(1.0, np.abs(ref)), axis=1)
-    if not passed.any():
-        return None
-    q = int(np.argmax(passed)) + 1
-    return (ys[hi - 1] - ys[hi - 1 - q]) / q, q
+    block = np.asarray(rows, dtype=float)[:, hi - window - max_period : hi]
+    now = block[:, max_period:]  # y(n) on the window
+    lags = sliding_window_view(block, window, axis=1)  # [r, max_period - q] = y(n - q)
+    ref = now[:, -1:] - lags[:, -2::-1, -1]  # [r, q - 1]: y(n) - y(n - q) at the last point
+    bound = tol * np.maximum(1.0, np.abs(ref))
+    open_ = np.abs(now[:, :1] - lags[:, -2::-1, 0] - ref) <= bound
+    periods = np.zeros(len(block), dtype=int)
+    while open_.any():
+        r = np.flatnonzero(open_.any(axis=1))
+        q = np.argmax(open_[r], axis=1)
+        diffs = now[r] - lags[r, max_period - 1 - q]
+        ok = np.all(np.abs(diffs - ref[r, q, None]) <= bound[r, q, None], axis=1)
+        periods[r[ok]] = q[ok] + 1
+        open_[r[ok]] = False
+        open_[r[~ok], q[~ok]] = False
+    return [((ys[hi - 1] - ys[hi - 1 - p]) / p, p) if p else None
+            for ys, p in zip(rows, periods.tolist())]
 
 
-def _fit_stream(ns, ys):
-    """(exp_rate, poly_rate, diagnostics) for a growth stream.
+def _fit_streams(ns, Y):
+    """[(exp_rate, poly_rate, diagnostics)] for the rows of Y, all on schedule ns.
 
     Detection first; otherwise joint least squares for the linear rate and a
     Theil-Sen log n slope (with a max-of-suffix-windows diagnostic) for the
-    polynomial rate.
+    polynomial rate.  Each stage runs once over all rows.  Y is a 2-D array
+    or a list of rows; the periodic numbers read off a row keep its type.
     """
-    detected = _detect_linear_periodic(ns, ys)
-    if detected is not None:
-        rate, q = detected
+    ns = np.asarray(ns, dtype=float)
+    detected = _detect_linear_periodic(ns, Y)
+    Y = np.asarray(Y, dtype=float)
+    out = [None] * len(Y)
+    periodic = [r for r, d in enumerate(detected) if d is not None]
+    if periodic:
         # deviations are exactly periodic, so the log n rate is zero
         tail = tail_indices(ns)
-        dev = [ys[i] - rate * ns[i] for i in tail]
-        ratio = (max(dev) - min(dev)) / math.log(ns[tail[-1]])
-        return rate, 0.0, {
-            "structure": "linear_plus_periodic",
-            "period": q,
-            "deviation_ratio_bound": ratio,
-            "window": (float(ns[tail[0]]), float(ns[tail[-1]])),
-        }
-    a, _, _, rms, window = joint_rate_fit(ns, ys)
-    slope, win2, max_slope = _poly_rate_about(ns, ys, a)
-    return a, slope, {
-        "structure": "fit",
-        "fit_residual": rms,
-        "window": window,
-        "poly_window": win2,
-        "poly_max_window_slope": max_slope,
-    }
+        rates = np.array([detected[r][0] for r in periodic])
+        spans = np.ptp(Y[periodic][:, tail] - rates[:, None] * ns[tail], axis=1)
+        spans /= math.log(ns[tail[-1]])
+        window = (float(ns[tail[0]]), float(ns[tail[-1]]))
+        for r, ratio in zip(periodic, spans):
+            rate, q = detected[r]
+            out[r] = (rate, 0.0, {
+                "structure": "linear_plus_periodic",
+                "period": q,
+                "deviation_ratio_bound": type(rate)(ratio),
+                "window": window,
+            })
+    fitted = [r for r, d in enumerate(detected) if d is None]
+    if fitted:
+        rates, rms, window = joint_rate_fit(ns, Y[fitted])
+        slopes, win2, max_slopes = _poly_rate_about(ns, Y[fitted], rates)
+        for i, r in enumerate(fitted):
+            out[r] = (rates[i], slopes[i], {
+                "structure": "fit",
+                "fit_residual": rms[i],
+                "window": window,
+                "poly_window": win2,
+                "poly_max_window_slope": max_slopes[i],
+            })
+    return out
 
 
-def _poly_rate_about(ns, ys, rate):
-    """Theil-Sen log n slope of the stream after removing a given linear rate."""
-    return log_slope_fit(ns, [y - rate * n for n, y in zip(ns, ys)])
+def _fit_stream(ns, ys):
+    """(exp_rate, poly_rate, diagnostics) for one growth stream: a batch of one."""
+    return _fit_streams(ns, [ys])[0]
+
+
+def _poly_rate_about(ns, Y, rates):
+    """Theil-Sen log n slopes of the rows of Y after removing each row's linear
+    rate; ns is a float array.  Returns log_slope_fit's (slopes, window, maxima)."""
+    return log_slope_fit(ns, Y - np.asarray(rates, dtype=float)[:, None] * ns)
 
 
 def fit_growth_report(samples, closed_form=None):
@@ -269,7 +296,8 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20, schedule=None, stream=None
     """
     stream = stream or MassStream(triple, seed, n_max=n_max, schedule=schedule)
     ys = stream.log_mass(t)
-    exp_rate, _, diag = _fit_stream(stream.ns, ys)
+    ns = np.asarray(stream.ns, dtype=float)
+    exp_rate, _, diag = _fit_stream(ns, ys)
     closed = None
     if triple.spanning and t == 0.0:
         record = cover.power_record(triple.g)
@@ -283,7 +311,7 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20, schedule=None, stream=None
         poly = 0.0
         window, max_slope = diag.get("window"), 0.0
     else:
-        poly, window, max_slope = _poly_rate_about(stream.ns, ys, rate_used)
+        (poly,), window, (max_slope,) = _poly_rate_about(ns, ys[None], [rate_used])
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys)),
         exp_rate=float(exp_rate),
@@ -320,14 +348,18 @@ class ShiftingNumbers:
         }
 
 
-def _nu_estimate(phis, n_max):
-    """(nu, structure) for the phases of one orbit at n = 0..SEQ_PREFIX,
-    n_max // 2 and n_max."""
-    detected = _detect_linear_periodic(range(SEQ_PREFIX + 1), phis[: SEQ_PREFIX + 1])
-    if detected is not None:
-        return detected[0], {"structure": "linear_plus_periodic", "period": detected[1]}
-    nu = (phis[-1] - phis[-2]) / (n_max - n_max // 2)
-    return nu, {"structure": "two_scale", "n_max": n_max}
+def _nu_estimates(phis, n_max):
+    """[(nu, structure)] for the rows of phis, the phases of orbits at
+    n = 0..SEQ_PREFIX, n_max // 2 and n_max; one detector pass for all rows."""
+    out = []
+    detected = _detect_linear_periodic(np.arange(SEQ_PREFIX + 1.0), phis[:, : SEQ_PREFIX + 1])
+    for row, d in zip(phis, detected):
+        if d is not None:
+            out.append((d[0], {"structure": "linear_plus_periodic", "period": d[1]}))
+        else:
+            nu = (row[-1] - row[-2]) / (n_max - n_max // 2)
+            out.append((nu, {"structure": "two_scale", "n_max": n_max}))
+    return out
 
 
 def shifting_numbers(triple, seed, n_max=2**16):
@@ -341,8 +373,7 @@ def _shifts(record, seed, n_max):
     top, bottom = stability.phases(seed)
     ns = list(range(SEQ_PREFIX + 1)) + [n_max // 2, n_max]
     phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
-    nu_up, d_up = _nu_estimate(phis[0], n_max)
-    nu_lo, d_lo = _nu_estimate(phis[1], n_max)
+    (nu_up, d_up), (nu_lo, d_lo) = _nu_estimates(phis, n_max)
     tau = record.tau
     return ShiftingNumbers(
         nu_upper=float(nu_up),
@@ -367,17 +398,19 @@ def pol_shifting_numbers(triple, seed, n_max=2**16):
 def _pol_shifts(record, seed, n_max, base):
     """pol_shifting_numbers from the already computed linear ones, base."""
     top, bottom = stability.phases(seed)
-    ns = default_schedule(n_max)
-    ys_top, ys_bot = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :]).tolist()
-
-    def pol_of(ys, nu, diag):
-        if diag.get("structure") == "linear_plus_periodic":
-            return 0.0
-        return _poly_rate_about(ns, ys, nu)[0]
-
-    nu_pol_up = pol_of(ys_top, base.nu_upper, base.diagnostics["upper"])
-    nu_pol_lo = pol_of(ys_bot, base.nu_lower, base.diagnostics["lower"])
-    sublinearity = (ys_top[-1] - ys_bot[-1] - (top - bottom)) / math.log(ns[-1])
+    ns = np.array(default_schedule(n_max), dtype=float)
+    phis = record.phase(np.array([[top], [bottom]]), ns[None, :])
+    nus = [base.nu_upper, base.nu_lower]
+    fitted = [r for r, side in enumerate(("upper", "lower"))
+              if base.diagnostics[side].get("structure") != "linear_plus_periodic"]
+    pols = [0.0, 0.0]
+    if fitted:
+        slopes = _poly_rate_about(ns, phis[fitted], [nus[r] for r in fitted])[0]
+        for r, slope in zip(fitted, slopes):
+            pols[r] = slope
+    nu_pol_up, nu_pol_lo = pols
+    top_n, bottom_n = phis[:, -1].tolist()
+    sublinearity = (top_n - bottom_n - (top - bottom)) / math.log(ns[-1])
     return ShiftingNumbers(
         nu_upper=float(nu_pol_up),
         nu_lower=float(nu_pol_lo),
@@ -423,7 +456,8 @@ def pol_entropy_from_hom(table, t=0.0):
     if diag.get("structure") == "linear_plus_periodic":
         poly, window, max_slope = 0.0, diag.get("window"), 0.0
     else:
-        poly, window, max_slope = _poly_rate_about(ns, ys, exp_rate)
+        (poly,), window, (max_slope,) = _poly_rate_about(
+            np.asarray(ns, dtype=float), np.array([ys]), [exp_rate])
     return GrowthReport(
         samples=tuple(zip(ns, ys)),
         exp_rate=float(exp_rate),
@@ -469,8 +503,7 @@ def epsilon_bounds_from_hom(table):
         ks = sorted(table.row(n))
         eps_plus.append(-ks[0])
         eps_minus.append(-ks[-1])
-    nu_up = theil_sen_slope(ns, eps_plus) if len(ns) > 1 else 0.0
-    nu_lo = theil_sen_slope(ns, eps_minus) if len(ns) > 1 else 0.0
+    nu_up, nu_lo = theil_sen_slope(ns, [eps_plus, eps_minus]) if len(ns) > 1 else (0.0, 0.0)
     return EpsilonBounds(
         ns=tuple(ns),
         eps_plus=tuple(eps_plus),
@@ -522,14 +555,12 @@ DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 def _mass_rates(record, triple, seed, t_grid, n_max):
-    """h_{sigma,t} and its polynomial companion for every t, one stream pass."""
+    """h_{sigma,t} and its polynomial companion for every t: one stream pass,
+    and one batched fit of the whole grid."""
     stream = MassStream.__new__(MassStream)
     stream._fill(triple, seed, n_max, None, record)
-    rates = {}
-    for t in t_grid:
-        ys = stream.log_mass(t)
-        exp_rate, poly_rate, diag = _fit_stream(stream.ns, ys)
-        rates[t] = (float(exp_rate), float(poly_rate), diag)
+    fits = _fit_streams(stream.ns, np.array([stream.log_mass(t) for t in t_grid]))
+    rates = {t: (float(e), float(p), diag) for t, (e, p, diag) in zip(t_grid, fits)}
     return stream, rates
 
 
@@ -551,8 +582,9 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
-    log_rho = math.log(_lattice_spectral_radius(triple.auto.P))
-    s_lattice = float(_lattice_poly_growth_rate(triple.auto.P))
+    lattice_data = _lattice_spectral_data(triple.auto.P)
+    log_rho = math.log(lattice_data.rho)
+    s_lattice = float(lattice_data.s)
 
     rows = []
 

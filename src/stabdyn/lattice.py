@@ -622,9 +622,9 @@ def growth_rate_estimate(A, schedule=None):
     Af = A.to_float()
     squares = _renormalized_squares(Af, max(int(n).bit_length() for n in schedule))
     ys = [log_norm_of_power(Af, n, squares) for n in schedule]
-    a, _, _, rms, window = joint_rate_fit(schedule, ys, fraction=64)
-    remainder = [y - a * n for n, y in zip(schedule, ys)]
-    s_est, _, _ = log_slope_fit(schedule, remainder)
+    ns, Y = np.array(schedule, dtype=float), np.array([ys])
+    (a,), (rms,), window = joint_rate_fit(ns, Y, fraction=64)
+    (s_est,), _, _ = log_slope_fit(ns, Y - a * ns)
     return GrowthEstimate(
         rho_est=float(np.exp(a)),
         s_est=float(s_est),

@@ -206,6 +206,24 @@ def test_config_invariants_rejected(tmp_path):
     assert main(["spectral", path, "--n-max", "4"]) == 2
 
 
+@pytest.mark.parametrize("n_max", ["8", "4096"])
+def test_n_max_is_rejected_where_it_is_not_read(tmp_path, capsys, n_max):
+    matrix = write(tmp_path / "m.json", [[2, 1], [1, 1]])
+    triple = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    assert main(["spectral", matrix, "--n-max", n_max]) == 2
+    assert main(["check-triple", triple, "--n-max", n_max]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --n-max" in err and "at least 16" not in err
+
+
+def test_n_max_lower_bound_holds_where_it_is_read(tmp_path, capsys):
+    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    for sub in ("growth", "translation"):
+        assert main([sub, path, "--n-max", "15"]) == 2
+        assert "n_max must be at least 16" in capsys.readouterr().err
+        assert main([sub, path, "--n-max", "16"]) == 0
+
+
 # --- translation ---------------------------------------------------------------------
 
 

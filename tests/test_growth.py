@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from stabdyn import cover, families, stability
+from stabdyn import _fit, cover, families, growth, lattice, stability
 from stabdyn.errors import EmptyTable, UnverifiedTriple
 from stabdyn._fit import geometric_schedule
 from stabdyn.growth import (
+    DEFAULT_T_GRID,
     SEQ_PREFIX,
     HomTable,
     _detect_linear_periodic,
@@ -436,13 +437,25 @@ def test_period_detector_matches_the_list_loop():
     found = 0
     for ns_, ys in cases:
         for arg in (ys, np.asarray(ys)):
-            got, want = _detect_linear_periodic(ns_, arg), _list_detect(ns_, arg)
+            (got,), want = _detect_linear_periodic(ns_, [arg]), _list_detect(ns_, arg)
             assert got == want
             if want is not None:
                 found += 1
                 assert type(got[0]) is type(want[0]) and type(got[1]) is int
-    assert _detect_linear_periodic(ns[:159], streams[3][:159]) is None
+    assert _detect_linear_periodic(ns[:159], [streams[3][:159]]) == [None]
     assert found >= 20
+    # one batch of every full-length stream gives each row's own answer
+    batch = _detect_linear_periodic(ns, np.array(streams))
+    assert batch == [_list_detect(ns, np.asarray(ys)) for ys in streams]
+
+
+def test_period_detector_takes_the_first_of_equal_runs():
+    # two consecutive runs of 200 points: a line, then a period-5 wobble
+    ns = list(range(200)) + list(range(300, 500))
+    ys = [0.1 * n if n < 250 else 0.2 * n + (n % 5) for n in ns]
+    assert _list_detect(ns, ys)[1] == 1
+    assert _detect_linear_periodic(ns, [ys]) == [_list_detect(ns, ys)]
+    assert _detect_linear_periodic(ns[200:], [ys[200:]]) == [_list_detect(ns[200:], ys[200:])]
 
 
 def _count_shared_work(monkeypatch, call):
@@ -481,6 +494,69 @@ def test_growth_calls_build_one_power_record_and_walk_no_orbit(monkeypatch, call
     for t in triples:
         seed = seed_of(t)
         assert _count_shared_work(monkeypatch, lambda: call(t, seed)) == {"record": 1, "orbit": 0}
+
+
+@pytest.mark.parametrize("suite", [yomdin_suite, linearity_check], ids=["yomdin", "linearity"])
+@pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, (0.0, 1.0)], ids=["grid7", "grid2"])
+def test_a_t_grid_is_fitted_in_one_batch(monkeypatch, suite, t_grid):
+    # the period detector runs once over the t grid and once over the two
+    # extreme phases; the suffix-slope pass at most once for each of them
+    rows = {"detect": [], "suffix": []}
+    detect, suffixes = growth._detect_linear_periodic, _fit.suffix_slopes
+
+    def counting_detect(ns, ys, *args):
+        rows["detect"].append(len(ys))
+        return detect(ns, ys, *args)
+
+    def counting_suffixes(x, Y):
+        rows["suffix"].append(len(Y))
+        return suffixes(x, Y)
+
+    rng = np.random.default_rng(67)
+    triples = [hyperbolic_triple(), curve_triple(3, m=1), shift_triple(2)]
+    triples += [families.compatible_triple(rng, rank=3, kind=k, shift=1)
+                for k in ("hyperbolic", "parabolic", "elliptic")]
+    whole_grids = 0
+    for t in triples:
+        rows["detect"].clear()
+        rows["suffix"].clear()
+        with monkeypatch.context() as m:
+            m.setattr(growth, "_detect_linear_periodic", counting_detect)
+            m.setattr(_fit, "suffix_slopes", counting_suffixes)
+            suite(t, seed_of(t), t_grid=t_grid, n_max=1024)
+        assert sorted(rows["detect"]) == sorted([len(t_grid), 2])
+        assert len(rows["suffix"]) <= (2 if suite is yomdin_suite else 1)
+        assert all(k <= len(t_grid) for k in rows["suffix"])
+        whole_grids += len(t_grid) in rows["suffix"]
+    assert whole_grids >= 2  # the parabolic triples fit every t in one suffix pass
+
+
+def test_no_fit_reaches_polyfit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    rng = np.random.default_rng(73)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        t = families.compatible_triple(rng, rank=3, kind=kind, shift=1)
+        seed = seed_of(t)
+        mass_growth(t, seed, n_max=4096)
+        pol_mass_growth(t, seed, n_max=2**16)
+        yomdin_suite(t, seed, n_max=1024)
+        linearity_check(t, seed, n_max=1024)
+        lattice.growth_rate_estimate(t.auto.P)
+
+
+def test_yomdin_reads_the_lattice_pair_off_one_spectral_record():
+    # log rho and s from one spectral_data equal the former
+    # spectral_radius / poly_growth_rate pair
+    rng = np.random.default_rng(79)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for rank in (2, 4, 6):
+            t = families.compatible_triple(rng, rank=rank, kind=kind, shift=0)
+            values = yomdin_suite(t, seed_of(t), n_max=256).values
+            assert values["log_rho_lattice"] == math.log(lattice.spectral_radius(t.auto.P))
+            assert values["s_lattice"] == float(lattice.poly_growth_rate(t.auto.P))
 
 
 def test_default_schedule_is_the_dense_prefix_and_the_geometric_tail():
