@@ -20,20 +20,13 @@ from .lattice import IntMatrix, det_exact, inverse_unimodular
 def random_unimodular(rng, n, steps=14, bound=2):
     """Product of random integer shears and permutation signs; det +-1."""
     P = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
     for _ in range(steps):
         i, j = rng.integers(0, n, size=2)
         if i == j:
             continue
-        E = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        E[int(i)][int(j)] = int(rng.integers(-bound, bound + 1))
-        P = matmul(P, E)
+        c = int(rng.integers(-bound, bound + 1))
+        for row in P:  # P (I + c e_i e_j^T): column j gains c times column i
+            row[j] += c * row[i]
     return IntMatrix(tuple(tuple(row) for row in P))
 
 

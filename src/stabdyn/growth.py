@@ -17,6 +17,7 @@ tail window.  Every stage runs once over all the streams that share a
 schedule, such as the t grid of one mass stream.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -222,8 +223,13 @@ def fit_growth_report(samples, closed_form=None):
 
 def default_schedule(n_max):
     """The dense prefix 1..SEQ_PREFIX (capped at n_max) joined with the
-    geometric schedule to n_max."""
-    return sorted(set(range(1, min(SEQ_PREFIX, n_max) + 1)) | set(geometric_schedule(n_max)))
+    geometric schedule to n_max, as a new list."""
+    return list(_default_schedule(n_max))
+
+
+@functools.lru_cache(maxsize=64)
+def _default_schedule(n_max):
+    return tuple(sorted(set(range(1, min(SEQ_PREFIX, n_max) + 1)) | set(geometric_schedule(n_max))))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +404,7 @@ def pol_shifting_numbers(triple, seed, n_max=2**16):
 def _pol_shifts(record, seed, n_max, base):
     """pol_shifting_numbers from the already computed linear ones, base."""
     top, bottom = stability.phases(seed)
-    ns = np.array(default_schedule(n_max), dtype=float)
+    ns = np.array(_default_schedule(n_max), dtype=float)
     phis = record.phase(np.array([[top], [bottom]]), ns[None, :])
     nus = [base.nu_upper, base.nu_lower]
     fitted = [r for r, side in enumerate(("upper", "lower"))

@@ -2,17 +2,22 @@
 
 The exact layer (characteristic/minimal polynomials, square-free splitting,
 determinants, inverses) runs on Python integers only, so nothing is rounded
-before the final root extraction.  One fraction-free Gauss-Jordan eliminator
-(Bareiss) backs all of it.  Determinants and inverses feed it the columns of
-A.  The characteristic and minimal polynomials feed it Krylov chains e_j,
-A e_j, A^2 e_j, ... (Keller-Gehrig 1985): the dependence that ends a chain
-gives a monic integer factor of the characteristic polynomial, chains
-sharing one eliminator multiply to it, and chains from fresh eliminators
-have the minimal polynomial as their lcm.  The Yun square-free split uses
-primitive-PRS gcds and exact division by monic factors.  The numerical
-layer (root polishing, Jordan chain ranks, norm-growth estimation) is plain
-numpy float64 with the thresholds stated in the docstrings, so every test is
-reproducible.
+before the final root extraction.  One fraction-free Gaussian eliminator
+(one-step Bareiss) backs all of it: each pivot step reduces only the rows
+no pivot has taken yet, and a fraction-free back-substitution on the
+triangular pivot block reads the coordinates of a dependent column.  The
+determinant is the last pivot; inverses feed the columns of A, then solve
+for each e_j scaled by |det A|.  The characteristic and minimal polynomials
+feed Krylov chains e_j, A e_j, A^2 e_j, ... (Keller-Gehrig 1985): the
+dependence that ends a chain, solved for the chain's own coordinates, gives
+a monic integer factor of the characteristic polynomial, chains sharing one
+eliminator multiply to it, and chains from fresh eliminators have the
+minimal polynomial as their lcm.  The square-free split first checks that
+p and p' are coprime mod the prime 2^31 - 1, which certifies a square-free
+p; otherwise Yun's loop runs on primitive-PRS gcds with exact division by
+monic factors.  The numerical layer (root polishing, Jordan chain ranks,
+norm-growth estimation) is plain numpy float64 with the thresholds stated in
+the docstrings, so every test is reproducible.
 """
 
 import math
@@ -98,47 +103,81 @@ class IntMatrix:
 
 
 class _Bareiss:
-    """Column-at-a-time fraction-free Gauss-Jordan elimination (Bareiss 1968).
+    """Column-at-a-time one-step fraction-free Gaussian elimination (Bareiss 1968).
 
-    Integer columns of one common length are fed in turn.  Each is reduced by
-    every earlier pivot step with x_i <- (p x_i - c_i x_r) // prev, where c is
-    that step's pivot column, r its pivot row, p = c_r and prev the pivot
-    before it; x_r itself is kept.  All entries stay minors of the fed
-    columns, so every division is exact (checked).  After k pivots a reduced
-    column is E x for one integer matrix E with E x_s = p e_{r_s} for every
-    pivot column x_s, p being the current (k-th) pivot.
+    Integer columns of one common length are fed in turn.  Pivot step s, with
+    pivot row r_s, pivot p_s and the pivot p_{s-1} before it (p_0 = 1),
+    reduces a fed column x on the rows that are still untaken after it:
+    x_i <- (p_s x_i - c_i x_{r_s}) // p_{s-1}, c being the pivot column as it
+    was when chosen.  Row r_s keeps x_{r_s}, the minor it held when step s
+    ran, and no later step touches it.  Every entry is a minor of the fed
+    columns, so every division is exact (checked).  On the pivot rows the
+    pivot columns form an upper triangular block with diagonal p_1 ... p_k;
+    `solve` back-substitutes a dependent column on it.
     """
 
     def __init__(self):
-        self.steps = []  # (pivot row, pivot column as reduced when chosen)
+        self.free = None  # rows no pivot has taken, ascending
+        self.steps = []  # (index of r_s in free, p_s, pivot column on the rows still free)
+        self.upper = []  # pivot column t on the rows r_1 .. r_{t-1}
         self.rows = []
         self.pivot = 1
 
     def feed(self, x):
-        """Reduce x; make it the next pivot column (None) or return E x.
-
-        A returned column is zero off the pivot rows and holds p a_s at row
-        r_s, where x = sum a_s x_s over the pivot columns.
-        """
-        x = list(x)
+        """Reduce x; make it the next pivot column (None) or return its
+        entries on the pivot rows r_1 .. r_k, the right-hand side of `solve`."""
+        v = list(x)
+        if self.free is None:
+            self.free = list(range(len(v)))
+        kept = []
         prev = 1
-        for r, c in self.steps:
-            p, xr = c[r], x[r]
-            num = [p * xi - ci * xr for xi, ci in zip(x, c)]
-            x = [v // prev for v in num]
-            # floor remainders share the divisor's sign: they all vanish iff their sum does
-            if sum(x) * prev != sum(num):
-                raise ArithmeticError("Bareiss division was not exact")
-            x[r] = xr
+        for j, p, c in self.steps:
+            b = v.pop(j)
+            kept.append(b)
+            if b:
+                num = [p * a - ci * b for a, ci in zip(v, c)]
+            elif p == prev:
+                continue  # the step would leave v as it is
+            else:
+                num = [p * a for a in v]
+            if prev == 1:
+                v = num
+            else:
+                v = [a // prev for a in num]
+                # floor remainders share the divisor's sign: they all vanish iff their sum does
+                if sum(v) * prev != sum(num):
+                    raise ArithmeticError("Bareiss division was not exact")
             prev = p
-        taken = set(self.rows)
-        r = next((i for i, v in enumerate(x) if v and i not in taken), None)
-        if r is None:
-            return x
-        self.steps.append((r, x))
-        self.rows.append(r)
-        self.pivot = x[r]
+        j = next((i for i, a in enumerate(v) if a), None)
+        if j is None:
+            return kept
+        p = v.pop(j)
+        self.steps.append((j, p, v))
+        self.upper.append(kept)
+        self.rows.append(self.free.pop(j))
+        self.pivot = p
         return None
+
+    def solve(self, y, start=0, scale=1):
+        """scale * (a_start, ..., a_{k-1}) for the dependence x = sum_t a_t x_t
+        over the pivot columns, y being what feed returned for x.
+
+        Fraction-free back-substitution from the last unknown: it reads only
+        pivot columns start .. k-1, and every division is checked, so the
+        scaled unknowns must be integers (by Cramer's rule they are for
+        scale = p_k).
+        """
+        rhs = [scale * b for b in y[start:]]
+        out = []
+        for t in range(len(self.rows) - 1, start - 1, -1):
+            a, rem = divmod(rhs.pop(), self.steps[t][1])
+            if rem:
+                raise ArithmeticError("back-substitution was not exact")
+            out.append(a)
+            if a:
+                rhs = [r - u * a for r, u in zip(rhs, self.upper[t][start:])]
+        out.reverse()
+        return out
 
 
 def det_exact(A):
@@ -158,19 +197,17 @@ def det_exact(A):
 def rational_inverse(A):
     """Exact inverse A^-1 = N / d as (N, d), with d = |det A| > 0.
 
-    Feeds the columns of A, then those of I, through one elimination, so N
-    is the adjugate of A up to the sign of det A.  Raises SingularMatrix
-    when det A = 0.
+    Feeds the columns of A, then those of I, through one elimination; column
+    j of N is the solution for e_j scaled by d, so N is the adjugate of A up
+    to the sign of det A.  Raises SingularMatrix when det A = 0.
     """
-    n = A.dim
     elim = _Bareiss()
     for col in zip(*A.entries):
         if elim.feed(col) is not None:
             raise SingularMatrix("matrix is singular")
-    E = [elim.feed(e) for e in IntMatrix.identity(n).entries]  # columns of E
-    sign = 1 if elim.pivot > 0 else -1
-    N = tuple(tuple(sign * E[j][r] for j in range(n)) for r in elim.rows)
-    return N, abs(elim.pivot)
+    d = abs(elim.pivot)
+    N = [elim.solve(elim.feed(e), 0, d) for e in IntMatrix.identity(A.dim).entries]
+    return tuple(zip(*N)), d
 
 
 def inverse_unimodular(P):
@@ -244,22 +281,57 @@ def _poly_gcd(a, b):
     """
     a, b = _primitive(_poly_trim(a)), _primitive(_poly_trim(b))
     while b != [0]:
-        r = a
+        r, b0, tail = a, b[0], b[1:]
         while len(r) >= len(b) and r != [0]:
-            shift = [0] * (len(r) - len(b))
-            r = _poly_trim(_poly_sub([b[0] * x for x in r], [r[0] * x for x in b] + shift))
+            # b0 r - r0 x^k b, whose leading term cancels
+            r0 = r[0]
+            r = _poly_trim([b0 * x - r0 * y for x, y in zip(r[1:], tail)]
+                           + [b0 * x for x in r[len(b) :]]) or [0]
         a, b = b, _primitive(r)
     return a if a[0] > 0 else [-x for x in a]
+
+
+_CERTIFICATE_PRIME = 2**31 - 1  # the modulus of the square-free certificate
+
+
+def _coprime_mod(a, b):
+    """Whether a mod q and b mod q are coprime in GF(q)[x], q the certificate
+    prime (Euclid on monic remainders; a nonzero constant is coprime to
+    anything)."""
+    q = _CERTIFICATE_PRIME
+    a = _poly_trim([c % q for c in a])
+    b = _poly_trim([c % q for c in b])
+    if b == [0]:
+        return len(a) == 1 and a != [0]
+    while len(b) > 1:
+        inv = pow(b[0], -1, q)
+        b = [c * inv % q for c in b]
+        tail = b[1:]
+        while len(a) >= len(b):
+            f = a[0]
+            a = [(x - f * y) % q for x, y in zip(a[1:], tail)] + a[len(b) :]
+            while a and not a[0]:
+                del a[0]
+        if not a:
+            return False  # b divides a: their gcd is b, of positive degree
+        a, b = b, a
+    return True
 
 
 def squarefree_decomposition(coeffs):
     """Yun decomposition p = prod f_i^i of a monic integer polynomial.
 
     Returns a list of (f_i coefficients, i) with every f_i monic integral.
-    Every gcd is monic, so all divisions stay exact over the integers.
+    A square factor f^2 | p over Q has a monic integral f (Gauss's lemma),
+    which divides p' as well and survives reduction mod q = 2^31 - 1; so a p
+    coprime to p' mod q is square-free and returned as is.  Otherwise Yun's
+    loop runs on primitive-PRS gcds; every gcd is monic, so all divisions
+    stay exact over the integers.
     """
     p = [int(c) for c in coeffs]
     dp = _poly_derivative(p)
+    if _coprime_mod(p, dp):
+        return [(p, 1)]
     g = _poly_gcd(p, dp)
     if len(g) == 1:
         return [(p, 1)]
@@ -272,8 +344,9 @@ def squarefree_decomposition(coeffs):
         f = _poly_gcd(w, z)  # gcd(w, 0) = w handles the final factor
         if len(f) > 1:
             out.append((f, i))
-        w = _poly_div_monic(w, f)
-        y = _poly_div_monic(z, f)
+            w = _poly_div_monic(w, f)
+            z = _poly_div_monic(z, f)
+        y = z
         i += 1
     return out
 
@@ -293,12 +366,13 @@ def _krylov_chain(A, j, elim):
     """Feed e_j, A e_j, A^2 e_j, ... into elim until one is dependent.
 
     Returns the monic polynomial of the chain, read off the dependence
-    coordinates on the chain's own pivot rows: A^k e_j = sum_i c_i A^i e_j
-    modulo the columns elim held before, so x^k - sum_i c_i x^i.  Over the
-    basis of all chains fed so far A is block upper triangular with
-    companion blocks, so the chain polynomial is a monic rational factor of
-    char_poly(A), integral by Gauss's lemma; an inexact division raises
-    ArithmeticError.  A chain whose e_j is already dependent returns [1].
+    coordinates of the chain's own pivot columns, the last unknowns of
+    elim.solve: A^k e_j = sum_i c_i A^i e_j modulo the columns elim held
+    before, so x^k - sum_i c_i x^i.  Over the basis of all chains fed so far
+    A is block upper triangular with companion blocks, so the chain
+    polynomial is a monic rational factor of char_poly(A), integral by
+    Gauss's lemma; an inexact division raises ArithmeticError.  A chain
+    whose e_j is already dependent returns [1].
     """
     start = len(elim.rows)
     v = [int(i == j) for i in range(A.dim)]
@@ -307,13 +381,7 @@ def _krylov_chain(A, j, elim):
         if y is not None:
             break
         v = A.apply(v)
-    coeffs = [1]
-    for r in reversed(elim.rows[start:]):
-        c, rem = divmod(y[r], elim.pivot)
-        if rem:
-            raise ArithmeticError("chain polynomial is not integral")
-        coeffs.append(-c)
-    return coeffs
+    return [1] + [-c for c in reversed(elim.solve(y, start))]
 
 
 def char_poly(A):

@@ -2,17 +2,21 @@
 characteristic and minimal polynomials and square-free split, against exact
 integer identities and two independent references (the Faddeev-LeVerrier
 recursion for the characteristic polynomial, the first rational dependence
-of vec(I), vec(A), vec(A^2), ... for the minimal polynomial)."""
+of vec(I), vec(A), vec(A^2), ... for the minimal polynomial), plus the work
+and exactness guarantees of the Gaussian Bareiss sweep itself."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stabdyn import lattice
 from stabdyn.errors import SingularMatrix, SingularPairing
 from stabdyn.families import random_unimodular
 from stabdyn.lattice import (
     IntMatrix,
+    _Bareiss,
     char_poly,
     det_exact,
     inverse_unimodular,
@@ -334,3 +338,198 @@ def test_singular_pairing_raises():
         volume(Z, pairing)
     with pytest.raises(SingularPairing):
         isotropy_defect(Z, pairing)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian sweep: work, minors and exactness
+
+
+class Counted(int):
+    """An int that counts the products it takes part in; arithmetic on it
+    stays Counted, so every product inside the eliminator is seen."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+
+def _counted_op(op):
+    return lambda self, other: Counted(op(int(self), int(other)))
+
+
+for _name, _op in [("add", operator.add), ("sub", operator.sub), ("floordiv", operator.floordiv)]:
+    setattr(Counted, "__%s__" % _name, _counted_op(_op))
+    setattr(Counted, "__r%s__" % _name, _counted_op(lambda a, b, op=_op: op(b, a)))
+
+
+def dense(n, seed, bound=3):
+    rng = np.random.default_rng(seed)
+    return IntMatrix(tuple(map(tuple, rng.integers(-bound, bound + 1, size=(n, n)).tolist())))
+
+
+def reference_det(rows):
+    """det by the Faddeev-LeVerrier constant term, chi(0) = (-1)^n det."""
+    M = IntMatrix(tuple(map(tuple, rows)))
+    return (-1) ** M.dim * faddeev_leverrier(M)[-1]
+
+
+def minor(columns, rows):
+    return reference_det([[col[r] for col in columns] for r in rows])
+
+
+def test_pivot_rows_keep_the_minor_they_held_when_taken():
+    n = 7
+    A = dense(n, 11)
+    cols = [list(c) for c in zip(*A.entries)]
+    elim = _Bareiss()
+    for col in cols:
+        assert elim.feed(col) is None
+    r = elim.rows
+    for t in range(n):
+        assert elim.steps[t][1] == minor(cols[: t + 1], r[: t + 1])
+        # pivot column t on the rows taken before it: the minor of each row
+        # at the step that took it, never rewritten by the steps after
+        for s in range(t):
+            assert elim.upper[t][s] == minor(cols[:s] + [cols[t]], r[: s + 1])
+
+
+def test_feed_reduces_only_the_untaken_rows():
+    n = 9
+    A = dense(n, 3)
+    elim = _Bareiss()
+    Counted.products = 0
+    for k, col in enumerate(zip(*A.entries)):
+        before = Counted.products
+        assert elim.feed([Counted(x) for x in col]) is None
+        work = Counted.products - before
+        # step s (1-based) updates the n - s rows still untaken after it:
+        # two products per row, plus at most one for the exactness check
+        untaken = sum(n - s for s in range(1, k + 1))
+        assert 2 * untaken <= work <= 2 * untaken + k
+        assert k == 0 or work < 2 * n * k  # a Gauss-Jordan step rewrites all n rows
+    for s, (_, _, column) in enumerate(elim.steps, start=1):
+        assert len(column) == n - s
+    assert sorted(elim.rows) == list(range(n))
+
+
+def test_inexact_division_raises_in_feed():
+    elim = _Bareiss()
+    assert elim.feed((2, 1, 1)) is None
+    assert elim.feed((0, 1, 0)) is None
+    j, p, column = elim.steps[1]
+    elim.steps[1] = (j, p, [column[0] + 1])  # plant a wrong entry
+    with pytest.raises(ArithmeticError):
+        elim.feed((1, 0, 1))
+
+
+def test_inexact_division_raises_in_solve():
+    elim = _Bareiss()
+    assert elim.feed((2, 1)) is None
+    assert elim.feed((0, 1)) is None
+    y = elim.feed((1, 0))  # = (1/2) x_0 - (1/2) x_1
+    with pytest.raises(ArithmeticError):
+        elim.solve(y)
+    assert elim.solve(y, 0, elim.pivot) == [1, -1]
+    with pytest.raises(ArithmeticError):
+        elim.solve(y, 1)
+
+
+def derogatory(n, seed):
+    """U (B + B + B + B + J_2(1) + J_2(1)) U^-1 with a random integer block B."""
+    rng = np.random.default_rng(seed)
+    k = (n - 4) // 4
+    B = rng.integers(-2, 3, size=(k, k)).tolist()
+    D = direct_sum(B, B, B, B, jordan_block(1, 2), jordan_block(1, 2))
+    U = random_unimodular(rng, n, steps=3 * n, bound=1)
+    return U @ IntMatrix(tuple(map(tuple, D))) @ inverse_unimodular(U)
+
+
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("shape", ["dense", "derogatory"])
+def test_large_matrices_match_the_references(n, shape):
+    A = dense(n, n) if shape == "dense" else derogatory(n, n)
+    chi = faddeev_leverrier(A)
+    assert char_poly(A) == chi
+    det = (-1) ** n * chi[-1]
+    assert det_exact(A) == det != 0
+    N, d = rational_inverse(A)
+    assert d == abs(det)
+    assert (A @ IntMatrix(N)).entries == scalar_times(d, IntMatrix.identity(n))
+    mu, used_char = min_poly(A)
+    assert not used_char
+    if shape == "dense":
+        assert squarefree_decomposition(chi) == [(chi, 1)]  # square-free, so mu = chi
+        assert mu == chi
+    else:
+        assert len(mu) < len(chi)
+        assert mu == reference_min_poly(A)
+
+
+# ---------------------------------------------------------------------------
+# the square-free certificate mod 2^31 - 1
+
+
+def _count_prs(monkeypatch):
+    calls = []
+    prs = lattice._poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(lattice, "_poly_gcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, split",
+    [
+        # square-free over Q, but x^2 mod q
+        ([1, 0, 2**31 - 1], [([1, 0, 2**31 - 1], 1)]),
+        # (x - 1)^2 (x + 2)
+        ([1, 0, -3, 2], [([1, 2], 1), ([1, -1], 2)]),
+    ],
+)
+def test_certificate_falls_through_to_the_prs(monkeypatch, p, split):
+    calls = _count_prs(monkeypatch)
+    assert squarefree_decomposition(p) == split
+    assert calls
+
+
+def test_certificate_settles_a_square_free_char_poly(monkeypatch):
+    chi = char_poly(dense(16, 16))
+    calls = _count_prs(monkeypatch)
+    assert squarefree_decomposition(chi) == [(chi, 1)]
+    assert not calls
+    assert rational_gcd_degree(chi, derivative(chi)) == 0
+
+
+# ---------------------------------------------------------------------------
+# random_unimodular against its dense-product definition
+
+
+def reference_unimodular(rng, n, steps=14, bound=2):
+    """The product of shears I + c e_i e_j^T as dense matrix products."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            continue
+        E = [[int(a == b) for b in range(n)] for a in range(n)]
+        E[int(i)][int(j)] = int(rng.integers(-bound, bound + 1))
+        P = [[sum(P[a][k] * E[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return P
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_random_unimodular_matches_the_dense_products(n):
+    for seed in range(10):
+        for steps, bound in [(14, 2), (n + 6, 1)]:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            P = random_unimodular(rng, n, steps=steps, bound=bound)
+            assert [list(row) for row in P.entries] == reference_unimodular(ref_rng, n, steps, bound)
+            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same draws

@@ -568,6 +568,17 @@ def test_default_schedule_is_the_dense_prefix_and_the_geometric_tail():
     assert MassStream(t, seed_of(t), n_max=5000).ns == default_schedule(5000)
 
 
+def test_default_schedule_hands_out_a_fresh_list():
+    first = default_schedule(4096)
+    expected = list(first)
+    first.append(10**9)
+    first[0] = -1
+    t = curve_triple(3, m=1)
+    MassStream(t, seed_of(t), n_max=4096).ns.clear()
+    assert default_schedule(4096) == expected
+    assert default_schedule(4096) is not default_schedule(4096)
+
+
 def test_mass_stream_matches_the_sequential_orbit():
     # the closed-form phases of every factor against the cover.orbit walk
     rng = np.random.default_rng(61)
