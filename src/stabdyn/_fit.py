@@ -21,30 +21,50 @@ def tail_indices(ns, fraction=8, min_points=3):
 
 
 def joint_rate_fit(ns, Y, fraction=8):
-    """Least-squares fit y ~ a*n + b*log n + c on the tail window, per row of Y.
+    """Least-squares fit y ~ a*n + b*log n + c + d/n on the tail window, per row of Y.
 
-    Separating the log n regressor keeps the linear rate `a` clean when the
-    stream carries a polynomial factor (e.g. ||A^n|| ~ n^s rho^n).  Returns
-    (a, rms_residual, window): a list of each per row, and window = (n_lo,
-    n_hi).  Each row is its own lstsq call, so a row's answer does not
-    depend on the batch it came in.
+    The log n column keeps the linear rate `a` clean when the stream carries
+    a polynomial factor (e.g. ||A^n|| ~ n^s rho^n); the 1/n column takes the
+    next term of a Jordan block's log mass, which a log n slope fit on
+    y - a*n would otherwise absorb.  A row keeps the 1/n column only when it
+    removes at least nine tenths of the residual sum of squares the other
+    three leave; the bounded wobble of an irrational rotation does not, and
+    its d is 0.  Windows of at most four points fit three columns.  Returns
+    (a, d, rms_residual, window): a list of each per row, and window =
+    (n_lo, n_hi).  Each row is its own lstsq call, so a row's answer does
+    not depend on the batch it came in.
     """
     idx = tail_indices(ns, fraction)
     n = ns[idx]
     window = (float(n[0]), float(n[-1]))
+    zeros = [0.0] * len(Y)
     if len(n) < 3:
         # under-determined: fall back to a plain slope
         rates = [0.0 if len(n) < 2 else float((y[-1] - y[0]) / (n[-1] - n[0]))
                  for y in Y[:, idx]]
-        return rates, [0.0] * len(Y), window
-    design = np.column_stack([n, np.log(n), np.ones_like(n)])
-    rates, rms = [], []
+        return rates, zeros, zeros, window
+    columns = np.array([n, np.log(n), np.ones_like(n), 1.0 / n])[: 3 + (len(n) > 4)]
+    # n and 1/n differ by 2 log10(n) decades; each column is monotone in n
+    scale = np.abs(columns[:, [0, -1]]).max(axis=1)
+    columns /= scale[:, None]
+    design = columns.T
+    if len(columns) == 4:
+        # dropping a row's 1/n coefficient d adds d^2 gap to its residual
+        # sum of squares and d move to its other coefficients
+        move, (gap,), *_ = np.linalg.lstsq(design[:, :3], design[:, 3], rcond=None)
+    rates, inv, rms = [], [], []
     for y in Y[:, idx]:
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
+        rss = resid @ resid
+        if len(coef) == 4 and coef[3] ** 2 * gap < 9.0 * rss:
+            rss += coef[3] ** 2 * gap
+            coef = coef[:3] + move * coef[3]
+        coef /= scale[: len(coef)]
         rates.append(float(coef[0]))
-        rms.append(float(np.sqrt(np.mean(resid**2))))
-    return rates, rms, window
+        inv.append(float(coef[3]) if len(coef) == 4 else 0.0)
+        rms.append(float(np.sqrt(rss / len(y))))
+    return rates, inv, rms, window
 
 
 def theil_sen_slope(xs, Y):

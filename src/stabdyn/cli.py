@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from . import growth, metric, scenarios, stability
+from . import families, growth, metric, scenarios, stability
 from ._fit import linear_schedule
 from .errors import StabDynError
 from .lattice import IntMatrix, spectral_data
@@ -94,19 +94,6 @@ def _parse_triple_file(path, tol):
     return triple, seed
 
 
-def _default_seed(triple):
-    ordered = sorted(triple.sigma.semistables, key=lambda d: -d.phase)
-    factors = []
-    for d in ordered:
-        if abs(stability.charge_of(triple.sigma.Z, d.v)) == 0.0:
-            continue
-        if not factors or d.phase < factors[-1].phase - 1e-9:
-            factors.append(d)
-        if len(factors) == 3:
-            break
-    return stability.HNObject(tuple(factors))
-
-
 def _schedule(kind, n_max):
     if kind == "linear":
         return linear_schedule(n_max)
@@ -155,7 +142,7 @@ def cmd_growth(args):
     if not triple.verified:
         _dump_json({"verified": False, "failure": triple.failure.to_json()}, args.out)
         return EXIT_NOT_COMPATIBLE
-    seed = seed or _default_seed(triple)
+    seed = seed or families.seed_object(triple)
     schedule = _schedule(args.schedule, args.n_max)
     t_grid = args.t_grid
     stream = growth.MassStream(triple, seed, n_max=args.n_max, schedule=schedule)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import Report
 from .errors import InvalidLift, NonPositiveDeterminant, SingularMatrix
 
 LIFT_TOL = 1e-9
@@ -71,7 +72,7 @@ def _lift_eval(m, f0, phi):
 
 
 @dataclass(frozen=True)
-class GL2TildeElem:
+class GL2TildeElem(Report):
     """Element (M, f) of the cover, f stored through its value f(0)."""
 
     m: tuple  # ((a, b), (c, d))
@@ -92,9 +93,6 @@ class GL2TildeElem:
     def det(self):
         (a, b), (c, d) = self.m
         return a * d - b * c
-
-    def to_json(self):
-        return {"m": [list(self.m[0]), list(self.m[1])], "f0": self.f0}
 
 
 def lift_from(M, f0):
@@ -163,27 +161,15 @@ def compose(g1, g2):
 
 
 def inverse(g):
-    """Inverse element; f0 is f^{-1}(0), found by monotone bisection."""
+    """Inverse element in closed form: f^{-1}(0) has the phase of M^{-1} e1
+    mod 2 and lies in (-f0 - 1, -f0 + 1), because |f(x) - x - f(0)| < 1."""
     M = g.matrix
     det = float(np.linalg.det(M))
     if det <= 0.0 or np.linalg.cond(M) > 1e12:
         raise SingularMatrix("matrix part is numerically singular")
     minv = tuple(map(tuple, np.linalg.inv(M).tolist()))
-    lo, hi = -g.f0 - 1.0, -g.f0 + 1.0
-    # widen until the bracket is valid (f is increasing)
-    while _lift_eval(g.m, g.f0, lo) > 0.0:
-        lo -= 1.0
-    while _lift_eval(g.m, g.f0, hi) < 0.0:
-        hi += 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _lift_eval(g.m, g.f0, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return GL2TildeElem(m=minv, f0=0.5 * (lo + hi))
+    base = _base_phase(minv)
+    return GL2TildeElem(m=minv, f0=base + 2.0 * round((-g.f0 - base) / 2.0))
 
 
 def power(g, n):
@@ -430,21 +416,12 @@ def translation_number(g, n_max=4096, details=False):
 
 
 @dataclass(frozen=True)
-class CoverClassification:
+class CoverClassification(Report):
     conjugacy_type: str  # elliptic | parabolic | hyperbolic
     pseudo_anosov_literal: bool
     pseudo_anosov_conjugate: bool
     stretch: object  # float, or None when there is no stretch factor
     gepner: bool
-
-    def to_json(self):
-        return {
-            "conjugacy_type": self.conjugacy_type,
-            "pseudo_anosov_literal": self.pseudo_anosov_literal,
-            "pseudo_anosov_conjugate": self.pseudo_anosov_conjugate,
-            "stretch": self.stretch,
-            "gepner": self.gepner,
-        }
 
 
 def classify(g, tol=1e-9):

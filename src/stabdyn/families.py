@@ -130,10 +130,14 @@ def compatible_triple(rng, rank=2, kind="hyperbolic", shift=0, support_margin=2.
 
 
 def seed_object(triple, max_factors=3):
-    """An HN object assembled from the triple's own semistable list."""
+    """An HN object assembled from the triple's own semistable list: up to
+    max_factors entries of distinct phases, largest first, skipping entries
+    of zero charge (they carry no mass)."""
     ordered = sorted(triple.sigma.semistables, key=lambda d: -d.phase)
     factors = []
     for d in ordered:
+        if stability.charge_of(triple.sigma.Z, d.v) == 0:
+            continue
         if not factors or d.phase < factors[-1].phase - 1e-9:
             factors.append(d)
         if len(factors) == max_factors:

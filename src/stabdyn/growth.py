@@ -32,6 +32,7 @@ from ._fit import (
     tail_indices,
     theil_sen_slope,
 )
+from ._report import Report
 from .errors import EmptyTable
 from .lattice import spectral_data as _lattice_spectral_data
 
@@ -45,23 +46,12 @@ DETECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Report):
     samples: tuple  # ((n, value), ...)
     exp_rate: float
     poly_rate: float
     closed_form: object = None  # (expected exp_rate, expected poly_rate) or None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self):
-        out = {
-            "samples": [[int(n), v] for n, v in self.samples],
-            "exp_rate": self.exp_rate,
-            "poly_rate": self.poly_rate,
-            "diagnostics": dict(self.diagnostics),
-        }
-        if self.closed_form is not None:
-            out["closed_form"] = list(self.closed_form)
-        return out
 
 
 @dataclass(frozen=True)
@@ -173,8 +163,8 @@ def _fit_streams(ns, Y):
             })
     fitted = [r for r, d in enumerate(detected) if d is None]
     if fitted:
-        rates, rms, window = joint_rate_fit(ns, Y[fitted])
-        slopes, win2, max_slopes = _poly_rate_about(ns, Y[fitted], rates)
+        rates, inv, rms, window = joint_rate_fit(ns, Y[fitted])
+        slopes, win2, max_slopes = _poly_rate_about(ns, Y[fitted] - np.outer(inv, 1.0 / ns), rates)
         for i, r in enumerate(fitted):
             out[r] = (rates[i], slopes[i], {
                 "structure": "fit",
@@ -339,19 +329,11 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20, schedule=None, stream=None
 
 
 @dataclass(frozen=True)
-class ShiftingNumbers:
+class ShiftingNumbers(Report):
     nu_upper: float
     nu_lower: float
     translation: float
     diagnostics: dict
-
-    def to_json(self):
-        return {
-            "nu_upper": self.nu_upper,
-            "nu_lower": self.nu_lower,
-            "translation": self.translation,
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def _nu_estimates(phis, n_max):
@@ -422,7 +404,7 @@ def _pol_shifts(record, seed, n_max, base):
         nu_lower=float(nu_pol_lo),
         translation=base.translation,
         diagnostics={
-            "linear": base.to_json(),
+            "linear": base,
             "sublinearity": sublinearity,
         },
     )
@@ -478,21 +460,12 @@ def pol_entropy_from_hom(table, t=0.0):
 
 
 @dataclass(frozen=True)
-class EpsilonBounds:
+class EpsilonBounds(Report):
     ns: tuple
     eps_plus: tuple
     eps_minus: tuple
     nu_upper: float
     nu_lower: float
-
-    def to_json(self):
-        return {
-            "ns": list(self.ns),
-            "eps_plus": list(self.eps_plus),
-            "eps_minus": list(self.eps_minus),
-            "nu_upper": self.nu_upper,
-            "nu_lower": self.nu_lower,
-        }
 
 
 def epsilon_bounds_from_hom(table):
@@ -524,7 +497,7 @@ def epsilon_bounds_from_hom(table):
 
 
 @dataclass(frozen=True)
-class InequalityRow:
+class InequalityRow(Report):
     name: str
     t: object  # float or None
     lhs: float
@@ -532,29 +505,12 @@ class InequalityRow:
     slack: float
     passed: bool
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "t": self.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Report):
     rows: tuple
     all_passed: bool
     values: dict
-
-    def to_json(self):
-        return {
-            "rows": [r.to_json() for r in self.rows],
-            "all_passed": self.all_passed,
-            "values": dict(self.values),
-        }
 
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -658,7 +614,7 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
 
 
 @dataclass(frozen=True)
-class LinearityReport:
+class LinearityReport(Report):
     t_grid: tuple
     mass_rates: tuple
     line_intercept: float
@@ -666,19 +622,6 @@ class LinearityReport:
     max_deviation: float
     entropy_rates: object = None  # tuple aligned with t_grid, or None
     max_entropy_gap: object = None
-
-    def to_json(self):
-        out = {
-            "t_grid": list(self.t_grid),
-            "mass_rates": list(self.mass_rates),
-            "line_intercept": self.line_intercept,
-            "line_slope": self.line_slope,
-            "max_deviation": self.max_deviation,
-        }
-        if self.entropy_rates is not None:
-            out["entropy_rates"] = list(self.entropy_rates)
-            out["max_entropy_gap"] = self.max_entropy_gap
-        return out
 
 
 def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=None):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fit import geometric_schedule, joint_rate_fit, log_slope_fit
+from ._report import Report
 from .errors import DegenerateSpectrum, RootFindingDiverged, SingularMatrix
 
 # Relative width of the top-modulus eigenvalue cluster (see poly_growth_rate).
@@ -656,21 +657,12 @@ def log_norm_of_power(A_float, n, squares=None):
 
 
 @dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Report):
     rho_est: float
     s_est: float
     residual: float
     window: tuple
     samples: tuple
-
-    def to_json(self):
-        return {
-            "rho_est": self.rho_est,
-            "s_est": self.s_est,
-            "residual": self.residual,
-            "window": list(self.window),
-            "samples": [[int(n), v] for n, v in self.samples],
-        }
 
 
 def growth_rate_estimate(A, schedule=None):
@@ -691,7 +683,7 @@ def growth_rate_estimate(A, schedule=None):
     squares = _renormalized_squares(Af, max(int(n).bit_length() for n in schedule))
     ys = [log_norm_of_power(Af, n, squares) for n in schedule]
     ns, Y = np.array(schedule, dtype=float), np.array([ys])
-    (a,), (rms,), window = joint_rate_fit(ns, Y, fraction=64)
+    (a,), _, (rms,), window = joint_rate_fit(ns, Y, fraction=64)
     (s_est,), _, _ = log_slope_fit(ns, Y - a * ns)
     return GrowthEstimate(
         rho_est=float(np.exp(a)),

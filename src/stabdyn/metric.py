@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cover, stability
+from ._report import Report
 from .errors import DimensionMismatch, NonSpanningSet
 
 GRID_POINTS = 1024  # phase grid used by the grid-mode displacement sup
@@ -198,19 +199,11 @@ def _quotient_distances(phases, record, ns, use_grid):
 
 
 @dataclass(frozen=True)
-class TranslationLengthReport:
+class TranslationLengthReport(Report):
     estimate: float
     closed_form: float
     fekete_min: float
     samples: tuple
-
-    def to_json(self):
-        return {
-            "estimate": self.estimate,
-            "closed_form": self.closed_form,
-            "fekete_min": self.fekete_min,
-            "samples": [s.to_json() for s in self.samples],
-        }
 
 
 def stable_translation_length(triple, n_max=64):

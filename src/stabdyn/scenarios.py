@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cover, growth, metric, stability
+from ._report import Report
 from .errors import NonIntegralAction, PreconditionViolated
 from .lattice import IntMatrix
 
@@ -20,7 +21,7 @@ CURVE_CHARGE = stability.CentralCharge(((0.0, -1.0), (1.0, 0.0)))  # -deg + i rk
 
 
 @dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(Report):
     claim: str
     reference: str
     value: float
@@ -28,19 +29,9 @@ class ClaimRow:
     tolerance: float
     passed: bool
 
-    def to_json(self):
-        return {
-            "claim": self.claim,
-            "reference": self.reference,
-            "value": self.value,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Report):
     name: str
     inputs: dict
     triple: object  # CompatibleTriple or None
@@ -52,17 +43,7 @@ class ScenarioReport:
         return all(c.passed for c in self.claims)
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "triple": self.triple.to_json() if self.triple is not None else None,
-            "claims": [c.to_json() for c in self.claims],
-            "all_passed": self.all_passed,
-            "extras": {
-                k: (v.to_json() if hasattr(v, "to_json") else v)
-                for k, v in self.extras.items()
-            },
-        }
+        return dict(super().to_json(), all_passed=self.all_passed)
 
     def text_lines(self):
         lines = ["scenario %s" % self.name]

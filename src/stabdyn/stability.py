@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cover
+from ._report import Report
 from .errors import (
     DimensionMismatch,
     PreconditionViolated,
@@ -71,16 +72,13 @@ def charge_of(Z, v):
 
 
 @dataclass(frozen=True)
-class SemistableDatum:
+class SemistableDatum(Report):
     v: tuple
     phase: float
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(int(x) for x in self.v))
         object.__setattr__(self, "phase", float(self.phase))
-
-    def to_json(self):
-        return {"v": list(self.v), "phase": self.phase}
 
 
 def check_semistable(Z, datum, tol=None, weak=False):
@@ -162,6 +160,8 @@ class StabilityData:
         }
         if self.support_C is not None:
             out["C"] = float(self.support_C)
+        if self.norm != "max":
+            out["norm"] = self.norm
         return out
 
 
@@ -174,6 +174,7 @@ def stability_from_json(obj):
         Z=Z,
         semistables=sems,
         support_C=obj.get("C"),
+        norm=obj.get("norm", "max"),
         weak=bool(obj.get("weak", False)),
     )
 
@@ -183,7 +184,7 @@ def stability_from_json(obj):
 
 
 @dataclass(frozen=True)
-class HNObject:
+class HNObject(Report):
     """Ordered semistable factors with strictly decreasing phases."""
 
     factors: tuple
@@ -199,9 +200,6 @@ class HNObject:
             if not a.phase > b.phase:
                 raise ValueError("factor phases must be strictly decreasing")
         object.__setattr__(self, "factors", fac)
-
-    def to_json(self):
-        return {"factors": [d.to_json() for d in self.factors]}
 
 
 def mass(E, Z, t=0.0):
@@ -243,7 +241,10 @@ class AutoequivalenceData:
         return det_exact(self.P)
 
     def to_json(self):
-        return {"p": self.P.to_json(), "label": self.label}
+        out = {"p": self.P.to_json(), "label": self.label}
+        if self.allow_nonunimodular:
+            out["allow_nonunimodular"] = True
+        return out
 
 
 def auto_from_json(obj):
@@ -263,13 +264,10 @@ def spanning_image(sigma):
 
 
 @dataclass(frozen=True)
-class IntertwineReport:
+class IntertwineReport(Report):
     passed: bool
     residual: float
     tol: float
-
-    def to_json(self):
-        return {"passed": self.passed, "residual": self.residual, "tol": self.tol}
 
 
 def check_charge_intertwine(Z, auto, M, tol=None):
@@ -301,16 +299,13 @@ def check_heart_window(images, psi, tol=None):
 
 
 @dataclass(frozen=True)
-class TripleFailure:
+class TripleFailure(Report):
     kind: str  # charge_intertwine | image_class | phase_transport | heart_window
     detail: str
 
-    def to_json(self):
-        return {"kind": self.kind, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class CompatibleTriple:
+class CompatibleTriple(Report):
     auto: AutoequivalenceData
     sigma: StabilityData
     g: cover.GL2TildeElem
@@ -325,20 +320,6 @@ class CompatibleTriple:
             raise UnverifiedTriple(
                 "triple failed verification: %s" % (self.failure.kind if self.failure else "?")
             )
-
-    def to_json(self):
-        out = {
-            "auto": self.auto.to_json(),
-            "sigma": self.sigma.to_json(),
-            "g": self.g.to_json(),
-            "verified": self.verified,
-            "spanning": self.spanning,
-            "intertwine": self.intertwine.to_json(),
-            "images": [d.to_json() for d in self.images],
-        }
-        if self.failure is not None:
-            out["failure"] = self.failure.to_json()
-        return out
 
 
 def verify_triple(auto, sigma, g, tol=None, images=None):
@@ -531,7 +512,7 @@ def same_stability_data(a, b, tol=1e-9):
 
 
 @dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(Report):
     feasible: bool
     gap: int
     image_phase_1: float
@@ -540,18 +521,6 @@ class InfeasibilityCertificate:
     psi_must_be_below: float
     psi_must_be_at_least: float
     detail: str
-
-    def to_json(self):
-        return {
-            "feasible": self.feasible,
-            "gap": self.gap,
-            "image_phase_1": self.image_phase_1,
-            "image_phase_2": self.image_phase_2,
-            "spread": self.spread,
-            "psi_must_be_below": self.psi_must_be_below,
-            "psi_must_be_at_least": self.psi_must_be_at_least,
-            "detail": self.detail,
-        }
 
 
 def ginzburg_infeasibility(z1, z2, d):

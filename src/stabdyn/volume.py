@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import Report
 from .errors import NotOddCY, SingularMatrix, SingularPairing
 from .lattice import IntMatrix, rational_inverse
 from .stability import CentralCharge
 
 
 @dataclass(frozen=True)
-class EulerPairing:
+class EulerPairing(Report):
     """Integer pairing matrix, optionally carrying an odd parity.
 
     An odd parity asserts antisymmetry chi(v, w) = -chi(w, v), which is
@@ -31,6 +32,7 @@ class EulerPairing:
     def __post_init__(self):
         if self.cy_parity is not None:
             d = int(self.cy_parity)
+            object.__setattr__(self, "cy_parity", d)
             if d % 2 == 0:
                 raise NotOddCY("parity must be odd")
             for i in range(self.chi.dim):
@@ -41,12 +43,6 @@ class EulerPairing:
     @property
     def rank(self):
         return self.chi.dim
-
-    def to_json(self):
-        out = {"chi": self.chi.to_json()}
-        if self.cy_parity is not None:
-            out["cy_parity"] = int(self.cy_parity)
-        return out
 
 
 def _charges(Z):
@@ -98,19 +94,11 @@ def charge_conjugation_split(Minv):
 
 
 @dataclass(frozen=True)
-class VolumeTransformReport:
+class VolumeTransformReport(Report):
     lhs: float
     rhs: float
     relative_discrepancy: float
     passed: bool
-
-    def to_json(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relative_discrepancy": self.relative_discrepancy,
-            "passed": self.passed,
-        }
 
 
 def vol_transform_check(Z, pairing, g, tol=1e-10):
@@ -130,21 +118,12 @@ def vol_transform_check(Z, pairing, g, tol=1e-10):
 
 
 @dataclass(frozen=True)
-class DetOneReport:
+class DetOneReport(Report):
     volume: float
     det: float
     constrained: bool
     passed: bool
     note: str
-
-    def to_json(self):
-        return {
-            "volume": self.volume,
-            "det": self.det,
-            "constrained": self.constrained,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 def det_one_necessity(triple, pairing, tol=1e-9):

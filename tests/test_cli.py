@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabdyn import scenarios
+from stabdyn import families, scenarios, stability
 from stabdyn.cli import main
 
 GOLDEN2 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -142,6 +142,17 @@ def test_check_triple_ginzburg_fails_with_window_reason(tmp_path, capsys):
     assert out["failure"]["kind"] == "heart_window"
 
 
+def test_check_triple_reads_back_its_own_triple_json(tmp_path, capsys):
+    # a non-unimodular lattice map writes allow_nonunimodular, which reads back
+    triple = scenarios.run_scenario("coh1", lam=2).triple
+    path = write(tmp_path / "t.json", triple.to_json())
+    assert main(["check-triple", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"] is True
+    assert out["auto"] == {"p": [[1, 0], [0, 2]], "label": triple.auto.label,
+                           "allow_nonunimodular": True}
+
+
 def test_check_triple_bad_schema(tmp_path):
     path = write(tmp_path / "t.json", {"sigma": {}})
     assert main(["check-triple", path]) == 2
@@ -185,6 +196,20 @@ def test_growth_linear_schedule(tmp_path, capsys):
                  "--schedule", "linear"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["reports"][0]["exp_rate"] == pytest.approx(math.log(GOLDEN2), abs=1e-3)
+
+
+def test_growth_default_seed_skips_zero_charge(tmp_path, capsys):
+    # the (0, 1) entry of the weak intersection-0 triple has zero charge
+    triple = scenarios.run_scenario("weak", intersection_number=0.0).triple
+    assert stability.charge_of(triple.sigma.Z, (0, 1)) == 0
+    seed = families.seed_object(triple)
+    assert seed == stability.HNObject((stability.SemistableDatum((1, 0), 0.5),))
+    path = write(tmp_path / "t.json", triple.to_json())
+    assert main(["growth", path, "--t-grid", "0"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    payload = dict(triple.to_json(), seed=seed.to_json())
+    assert main(["growth", write(tmp_path / "s.json", payload), "--t-grid", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == default
 
 
 def test_verify_images_misaligned_is_input_error(tmp_path):

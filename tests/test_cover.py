@@ -134,6 +134,45 @@ def test_compose_with_inverse_is_identity():
         assert abs(e.f0) <= 1e-9
 
 
+def _bisection_inverse_f0(g):
+    """f^{-1}(0) by monotone bisection on the lift: the reference for the
+    closed form of inverse."""
+    lo, hi = -g.f0 - 1.0, -g.f0 + 1.0
+    while evaluate(g, lo) > 0.0:
+        lo -= 1.0
+    while evaluate(g, hi) < 0.0:
+        hi += 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if evaluate(g, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_inverse_equals_the_bisection_reference():
+    # decks up to +-100, stretches up to 1e5, shears up to 1e3
+    rng = np.random.default_rng(11)
+
+    def rot(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    for _ in range(500):
+        s = 10.0 ** rng.uniform(0.0, 5.0)
+        h = rng.uniform(-1e3, 1e3)
+        M = math.exp(rng.normal()) * rot(rng.uniform(0.0, 2 * math.pi)) @ np.diag([s, 1 / s]) \
+            @ np.array([[1.0, h], [0.0, 1.0]]) @ rot(rng.uniform(0.0, 2 * math.pi))
+        if np.linalg.cond(M) > 1e12:
+            continue
+        g = lift_from(M, math.atan2(M[1, 0], M[0, 0]) / math.pi + 2 * int(rng.integers(-50, 51)))
+        # the bisection decides on float values of f, which move its root by
+        # up to about cond(M) ulps where f is flat
+        assert inverse(g).f0 == pytest.approx(_bisection_inverse_f0(g), abs=1e-11)
+
+
 def test_power_of_quarter_rotation_is_deck_shift():
     g4 = power(from_complex(0.5), 4)
     ref = from_complex(2.0)

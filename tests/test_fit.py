@@ -4,12 +4,15 @@ The references below are the per-pair Theil-Sen loop, the per-target argmin
 thinning and the per-suffix np.polyfit; they live here only.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from stabdyn import families
+from stabdyn import cover, families
 from stabdyn._fit import (
     _thin_logspaced,
+    joint_rate_fit,
     log_slope_fit,
     suffix_slopes,
     tail_indices,
@@ -160,3 +163,49 @@ def test_batched_fit_equals_each_row_alone(n_max):
     for got, want in zip(listed, batch):
         assert got == want and type(got[0]) is float
         assert all(type(v) is not np.float64 for v in got[2].values())
+
+
+def _lstsq_coefs(ns, Y, columns):
+    """Least-squares coefficients of each row of Y on the tail window."""
+    idx = tail_indices(ns)
+    n = ns[idx]
+    design = np.column_stack([n, np.log(n), np.ones_like(n), 1.0 / n])[:, :columns]
+    return np.array([np.linalg.lstsq(design, y, rcond=None)[0] for y in Y[:, idx]])
+
+
+def test_one_over_n_column_takes_a_jordan_tail():
+    # s log n + c + d/n: the 1/n term would bias a log n slope fit on y - a n
+    ns = np.asarray(default_schedule(4096), dtype=float)
+    Y = np.array([2.0 * np.log(ns) + 0.3 + 40.0 / ns, 0.5 * ns + np.log(ns) - 25.0 / ns])
+    rates, inv, _, _ = joint_rate_fit(ns, Y)
+    assert rates == pytest.approx([0.0, 0.5], abs=1e-12)
+    assert inv == pytest.approx([40.0, -25.0], rel=1e-9)
+    (_, poly, _), (_, poly2, _) = _fit_streams(ns, Y)
+    assert poly == pytest.approx(2.0, abs=1e-9) and poly2 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_max", [4096, 2**20])
+def test_one_over_n_column_cannot_absorb_an_irrational_rotation(n_max):
+    """log |M^n z| for M an irrational rotation conjugated by a shear and a
+    scale: a bounded wobble with no 1/n term.  The fit leaves the 1/n column
+    out, so the rates are those of the three-column fit."""
+    rng = np.random.default_rng(29)
+    ns = np.asarray(default_schedule(n_max), dtype=float)
+    rows = []
+    for _ in range(40):
+        theta = math.pi * rng.uniform(0.05, 0.95)
+        A = np.array([[1.0, rng.uniform(-3.0, 3.0)], [0.0, math.exp(rng.uniform(-1.5, 1.5))]])
+        R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        M = A @ R @ np.linalg.inv(A)
+        record = cover.power_record(cover.lift_from(M, math.atan2(M[1, 0], M[0, 0]) / math.pi))
+        z = rng.normal(size=2)
+        rows.append(record.log_charge(z[0], z[1], ns.astype(np.int64)))
+    Y = np.array(rows)
+    idx = tail_indices(ns)
+    wobble = np.ptp(Y[:, idx], axis=1)
+    rates, inv, _, _ = joint_rate_fit(ns, Y)
+    assert inv == [0.0] * len(Y)
+    assert rates == pytest.approx(_lstsq_coefs(ns, Y, 3)[:, 0].tolist(), rel=1e-9, abs=1e-15)
+    # a four-column fit would turn the wobble into a 1/n term larger than itself
+    d = _lstsq_coefs(ns, Y, 4)[:, 3]
+    assert np.median(np.abs(d) * (1.0 / ns[idx[0]] - 1.0 / ns[idx[-1]]) / wobble) > 1.0

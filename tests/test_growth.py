@@ -354,6 +354,15 @@ def test_yomdin_random_families():
             assert not bad, "violations: %s" % [(r.name, r.t, r.slack) for r in bad]
 
 
+def test_yomdin_parabolic_jordan_tail_passes():
+    # at the default n_max the 1/n term of this rank-5 parabolic triple's log
+    # mass put pol_mass_ge_pol_sigma_plus_lower_shift_t at t = 2 at slack -0.083
+    t = families.compatible_triple(np.random.default_rng(70), rank=5, kind="parabolic")
+    rep = yomdin_suite(t, families.seed_object(t))
+    assert rep.all_passed
+    assert min(r.slack for r in rep.rows) > -1e-2
+
+
 def test_yomdin_with_hom_table():
     t = curve_triple(1, m=0)
     rep = yomdin_suite(t, seed_of(t), hom_table=p1_table(512), n_max=2048)

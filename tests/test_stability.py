@@ -21,6 +21,7 @@ from stabdyn.stability import (
     act_by_auto,
     act_on_stability,
     apply_auto,
+    auto_from_json,
     charge_of,
     check_charge_intertwine,
     check_heart_window,
@@ -29,6 +30,7 @@ from stabdyn.stability import (
     phases,
     same_stability_data,
     spanning_image,
+    stability_from_json,
     triple_power,
     verify_triple,
 )
@@ -385,6 +387,27 @@ def test_min_poly_transfer_for_verified_spanning_triple():
     t = curve_triple(4)
     assert t.spanning
     assert min_poly_root_transfer(t.auto.P, t.g.matrix, tol=1e-9)
+
+
+# --- JSON round trip -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("norm", ["max", "euclid"])
+def test_stability_json_round_trip_keeps_the_norm(norm):
+    sigma = StabilityData(Z=CURVE_Z, semistables=curve_sigma().semistables, support_C=2.0,
+                          norm=norm)
+    obj = sigma.to_json()
+    assert ("norm" in obj) == (norm != "max")  # the default norm is not written
+    assert stability_from_json(obj) == sigma
+
+
+@pytest.mark.parametrize("det", [1, 2])
+def test_auto_json_round_trip_keeps_the_unimodular_opt_out(det):
+    auto = AutoequivalenceData(P=IntMatrix(((1, 0), (0, det))), label="scale",
+                               allow_nonunimodular=det != 1)
+    obj = auto.to_json()
+    assert ("allow_nonunimodular" in obj) == (det != 1)  # written only when true
+    assert auto_from_json(obj) == auto
 
 
 # --- weak data -----------------------------------------------------------------------
