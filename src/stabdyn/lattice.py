@@ -1,23 +1,27 @@
 """Exact and numerical linear algebra over a finite-rank integer lattice.
 
 The exact layer (characteristic/minimal polynomials, square-free splitting,
-determinants, inverses) runs on Python integers only, so nothing is rounded
-before the final root extraction.  One fraction-free Gaussian eliminator
-(one-step Bareiss) backs all of it: each pivot step reduces only the rows
-no pivot has taken yet, and a fraction-free back-substitution on the
-triangular pivot block reads the coordinates of a dependent column.  The
-determinant is the last pivot; inverses feed the columns of A, then solve
-for each e_j scaled by |det A|.  The characteristic and minimal polynomials
-feed Krylov chains e_j, A e_j, A^2 e_j, ... (Keller-Gehrig 1985): the
-dependence that ends a chain, solved for the chain's own coordinates, gives
-a monic integer factor of the characteristic polynomial, chains sharing one
-eliminator multiply to it, and chains from fresh eliminators have the
-minimal polynomial as their lcm.  The square-free split first checks that
-p and p' are coprime mod the prime 2^31 - 1, which certifies a square-free
-p; otherwise Yun's loop runs on primitive-PRS gcds with exact division by
-monic factors.  The numerical layer (root polishing, Jordan chain ranks,
-norm-growth estimation) is plain numpy float64 with the thresholds stated in
-the docstrings, so every test is reproducible.
+determinants, inverses) runs in exact integer arithmetic, so nothing is
+rounded before the final root extraction.  One fraction-free Gaussian
+eliminator (one-step Bareiss) backs determinants, inverses and Krylov
+chains: each pivot step reduces only the rows no pivot has taken yet, and a
+fraction-free back-substitution on the triangular pivot block reads the
+coordinates of a dependent column.  The determinant is the last pivot;
+inverses feed the columns of A, then solve for each e_j scaled by |det A|.
+Krylov chains e_j, A e_j, A^2 e_j, ... (Keller-Gehrig 1985) end in a
+dependence whose own coordinates give a monic integer factor of the
+characteristic polynomial: chains sharing one eliminator multiply to it
+below rank 16 (_CROSSOVER), and chains from fresh eliminators have the
+minimal polynomial as their lcm.  From rank 16 to 2047 the characteristic
+polynomial is multi-modular (Cohen 1993, Alg. 2.2.9; Dumas, Pernet and Wan
+2005): a Hessenberg reduction mod a batch of primes below 2^26 in one int64
+array, joined by CRT, with enough primes for the bound |c_k| <= C(n, k) *
+(product of the k largest row 2-norms).  The square-free split first checks
+that p and p' are coprime mod the prime 2^31 - 1, which certifies a
+square-free p; otherwise Yun's loop runs on primitive-PRS gcds with exact
+division by monic factors.  The numerical layer (root polishing, Jordan
+chain ranks, norm-growth estimation) is plain numpy float64 with the
+thresholds stated in the docstrings, so every test is reproducible.
 """
 
 import math
@@ -82,7 +86,7 @@ class IntMatrix:
         v = [int(x) for x in v]
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
+        return tuple(_apply(self.entries, v))
 
     def power(self, k):
         if k < 0:
@@ -101,6 +105,11 @@ class IntMatrix:
 
     def to_json(self):
         return [list(row) for row in self.entries]
+
+
+def _apply(rows, v):
+    """Row-dot products of v, an int list of the right length (unchecked)."""
+    return [sum(map(operator.mul, row, v)) for row in rows]
 
 
 class _Bareiss:
@@ -381,18 +390,17 @@ def _krylov_chain(A, j, elim):
         y = elim.feed(v)
         if y is not None:
             break
-        v = A.apply(v)
+        v = _apply(A.entries, v)
     return [1] + [-c for c in reversed(elim.solve(y, start))]
 
 
-def char_poly(A):
+def _krylov_char_poly(A):
     """Monic characteristic polynomial as a product of Krylov chain polynomials.
 
     Chains from e_0, e_1, ... are fed into one fraction-free elimination
     until it holds n pivots; the chains then form a basis in which A is
     block upper triangular with one companion block per chain.  A dense
-    (cyclic) matrix needs one chain, a derogatory one several.  Exact over
-    the integers; coefficients are returned descending (leading 1 first).
+    (cyclic) matrix needs one chain, a derogatory one several.
     """
     elim = _Bareiss()
     coeffs = [1]
@@ -407,7 +415,7 @@ def _annihilates(A, coeffs, j):
     """Whether coeffs(A) e_j = 0, by a Horner matrix-vector product."""
     acc = [0] * A.dim
     for c in coeffs:
-        acc = list(A.apply(acc))
+        acc = _apply(A.entries, acc)
         acc[j] += c
     return not any(acc)
 
@@ -431,6 +439,138 @@ def min_poly(A):
             mu_j = _krylov_chain(A, j, _Bareiss())
             mu = _poly_mul(mu, _poly_div_monic(mu_j, _poly_gcd(mu, mu_j)))
     return mu, False
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial mod a batch of primes (Cohen 1993, Alg. 2.2.9)
+
+_CROSSOVER = 16  # the smallest rank on the modular path; the two paths tie near 16-18
+_PRIME_BITS = 26  # every prime is below 2^26, so a product of two residues is below 2^52
+_MODULAR_DIM_LIMIT = 2 ** (63 - 2 * _PRIME_BITS)  # a sum of n such products fits int64 below it
+_PRIMES = []  # the largest primes below 2^26, descending, found on first use
+
+
+def _is_prime(q):
+    """Deterministic Miller-Rabin for odd q < 4759123141 (bases 2, 7, 61)."""
+    d, s = q - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, q)
+        if x in (0, 1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_above(bits):
+    """The fewest of the largest primes below 2^26 whose product exceeds 2^bits."""
+    k = 0
+    while bits >= 0:
+        if k == len(_PRIMES):
+            start = _PRIMES[-1] - 2 if _PRIMES else 2**_PRIME_BITS - 1
+            _PRIMES.append(next(q for q in range(start, 2, -2) if _is_prime(q)))
+        bits -= math.log2(_PRIMES[k])
+        k += 1
+    return _PRIMES[:k]
+
+
+def _coefficient_bits(A):
+    """log2 of a bound on every coefficient of char_poly(A).
+
+    c_k is a signed sum of the C(n, k) principal k x k minors, and Hadamard's
+    inequality bounds each by the product of the k largest row 2-norms.
+    """
+    n = A.dim
+    squares = [sum(map(operator.mul, row, row)) for row in A.entries]
+    logs = sorted((0.5 * math.log2(q) if q else -math.inf for q in squares), reverse=True)
+    bits = acc = 0.0
+    for k in range(1, n + 1):
+        acc += logs[k - 1]
+        bits = max(bits, math.log2(math.comb(n, k)) + acc)
+    return bits
+
+
+def _modular_char_poly(A):
+    """char_poly(A) from its images mod k primes below 2^26, joined by CRT.
+
+    All k images run in one (k, n, n) int64 array.  A Hessenberg similarity
+    clears column c below row c + 1, a prime swapping in a lower row only
+    where it divides the pivot.  Hessenberg's recurrence p_m = (x - h_mm)
+    p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1} then carries
+    the subdiagonal products as one running (k, n) vector.  A product of
+    residues is below 2^52 and no sum has 2^11 of them, so nothing wraps.
+    The primes multiply to more than 4 B, B the coefficient bound (the
+    factor 2 beyond CRT's covers rounding in the logarithms).
+    """
+    n = A.dim
+    plist = _primes_above(_coefficient_bits(A) + 2)
+    p = np.array(plist, dtype=np.int64)[:, None]
+    p3 = p[:, :, None]
+    try:
+        a = np.array(A.entries, dtype=np.int64)
+    except OverflowError:  # entries beyond int64 reduce as Python ints
+        a = np.array(A.entries, dtype=object)
+    H = (a % p3).astype(np.int64)
+    for c in range(n - 2):
+        piv = H[:, c + 1, c].tolist()
+        if 0 in piv:
+            for q in (q for q, t in enumerate(piv) if t == 0):
+                below = np.flatnonzero(H[q, c + 2 :, c])
+                if below.size:  # swap rows and columns c + 1 and i of this image only
+                    i = [c + 1, c + 2 + int(below[0])]
+                    H[q, i] = H[q, i[::-1]]
+                    H[q, :, i] = H[q, :, i[::-1]]
+            piv = H[:, c + 1, c].tolist()
+        inv = [pow(t, -1, q) if t else 0 for t, q in zip(piv, plist)]
+        u = H[:, c + 2 :, c, None] * np.array(inv, dtype=np.int64)[:, None, None] % p3
+        rows = H[:, c + 2 :, c:]  # row_i -= u_i row_{c+1}, then col_{c+1} += sum_i u_i col_i
+        rows -= u * H[:, c + 1, None, c:]
+        rows %= p3
+        col = H[:, :, c + 1]
+        col += np.matmul(H[:, :, c + 2 :], u)[:, :, 0]
+        col %= p
+    P = np.zeros((len(plist), n + 1, n + 1), dtype=np.int64)  # P[:, m, j]: [x^j] p_m
+    P[:, 0, 0] = 1
+    S = np.ones((len(plist), n), dtype=np.int64)  # S[:, i]: h_{i+1,i} ... h_{m,m-1} at step m
+    for m in range(n):
+        w = H[:, None, :m, m] * S[:, None, :m] % p3
+        pm = P[:, m + 1]
+        pm[:, 1:] = P[:, m, :-1]
+        pm -= H[:, m, m, None] * P[:, m] + np.matmul(w, P[:, :m])[:, 0]
+        pm %= p
+        if m + 1 < n:
+            sub = S[:, : m + 1]
+            sub *= H[:, m + 1, m, None]
+            sub %= p
+    M = math.prod(plist)
+    es = [M // q * pow(M // q % q, -1, q) for q in plist]
+    out = []
+    for r in zip(*P[:, n, ::-1].tolist()):
+        x = sum(map(operator.mul, r, es)) % M
+        out.append(x - M if 2 * x > M else x)
+    return out
+
+
+def char_poly(A):
+    """Monic characteristic polynomial, exact over the integers.
+
+    Ranks below _CROSSOVER = 16 multiply Krylov chain polynomials
+    (_krylov_char_poly).  Ranks from 16 to 2047 reduce A mod a batch of
+    primes below 2^26 whose product exceeds four times the bound
+    |c_k| <= C(n, k) * (product of the k largest row 2-norms), and join the
+    Hessenberg images by CRT (_modular_char_poly); larger ranks would wrap
+    int64 and take the Krylov path.  Coefficients are returned descending
+    (leading 1 first).
+    """
+    if _CROSSOVER <= A.dim < _MODULAR_DIM_LIMIT:
+        return _modular_char_poly(A)
+    return _krylov_char_poly(A)
 
 
 # ---------------------------------------------------------------------------
