@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from . import families, growth, metric, scenarios, stability
+from . import cover, families, growth, metric, scenarios, stability
 from ._fit import linear_schedule
 from .errors import StabDynError
 from .lattice import IntMatrix, spectral_data
@@ -72,10 +72,8 @@ def _parse_triple_file(path, tol):
     data = _load_json(path)
     sigma = stability.stability_from_json(data["sigma"])
     auto = stability.auto_from_json(data["auto"])
-    from .cover import lift_from
-
     gspec = data["g"]
-    g = lift_from(gspec["m"], float(gspec["f0"]))
+    g = cover.lift_from(gspec["m"], float(gspec["f0"]))
     images = None
     if "images" in data:
         images = tuple(
@@ -146,6 +144,7 @@ def cmd_growth(args):
     schedule = _schedule(args.schedule, args.n_max)
     t_grid = args.t_grid
     stream = growth.MassStream(triple, seed, n_max=args.n_max, schedule=schedule)
+    stream.fits(t_grid)  # the whole grid in one batch
     reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
     if args.format == "csv":
         if len(t_grid) == 1:

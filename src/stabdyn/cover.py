@@ -258,10 +258,10 @@ class PowerRecord:
         sign = np.where((n - 1) % 2 == 1, math.copysign(1.0, u), 1.0)
         return log_c, sign, alpha, beta, s
 
-    def _apply(self, x, y, n):
-        """(log scale, X, Y) with M^n (x, y) = e^scale (X, Y), elementwise."""
+    def _apply(self, x, y, n, coeffs):
+        """(log scale, X, Y) with M^n (x, y) = e^scale (X, Y) for coeffs = _coeffs(n)."""
         (a, b), (c, d) = self.m
-        log_c, sign, alpha, beta, mu = self._coeffs(n)
+        log_c, sign, alpha, beta, mu = coeffs
         kx = (a - mu) * x + b * y
         ky = c * x + (d - mu) * y
         X = sign * (alpha * x + beta * kx)
@@ -282,24 +282,35 @@ class PowerRecord:
 
         The value is the representative of arg(M^n v(phi)) / pi mod 2 in
         (phi + n tau - 1, phi + n tau + 1): every degree-one lift F of a
-        circle map satisfies |F^n(x) - x - n tau| < 1.  Two scalars give a
-        float, anything else a float array.
+        circle map satisfies |F^n(x) - x - n tau| < 1.  The coefficients of
+        M^n run on the shape of n, v(phi) on the shape of phi, and only
+        M^n v(phi), its angle and the rounding on the broadcast shape.  Two
+        scalars give a float, anything else a float array.
         """
-        phi, n = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(n, dtype=np.int64))
+        n = np.asarray(n, dtype=np.int64)
+        val = self._phase(np.asarray(phi, dtype=float), n, self._coeffs(n))
+        return float(val) if val.ndim == 0 else val
+
+    def _phase(self, phi, n, coeffs):
         k = np.floor(phi)
         cs, sn = _cossin_pi_array(phi - k)
-        _, x, y = self._apply(cs, sn, n)
+        _, x, y = self._apply(cs, sn, n, coeffs)
         turn = np.arctan2(y, x) / math.pi + k  # v(phi) = (-1)^k v(phi - k)
         val = turn + 2.0 * np.round((phi + n * self.tau - turn) / 2.0)
-        val = np.where(n == 0, phi, val)
-        return float(val) if val.ndim == 0 else val
+        return np.where(n == 0, phi, val)
 
     def log_charge(self, x, y, n):
         """log |M^n (x, y)|, elementwise over x, y and n >= 0 broadcast."""
-        log_c, X, Y = self._apply(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(n, dtype=np.int64)
-        )
-        return log_c + np.log(np.hypot(X, Y))
+        return self.log_charge_and_phase(x, y, None, n)[0]
+
+    def log_charge_and_phase(self, x, y, phi, n):
+        """(log_charge(x, y, n), phase(phi, n) as an array, None for phi None)
+        from one evaluation of the power coefficients at n."""
+        n = np.asarray(n, dtype=np.int64)
+        coeffs = self._coeffs(n)
+        log_c, X, Y = self._apply(np.asarray(x, dtype=float), np.asarray(y, dtype=float), n, coeffs)
+        phis = None if phi is None else self._phase(np.asarray(phi, dtype=float), n, coeffs)
+        return log_c + np.log(np.hypot(X, Y)), phis
 
     def log_norms(self, n):
         """(log ||M^n||, log ||M^-n||) in the spectral norm, elementwise in n.

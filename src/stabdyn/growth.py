@@ -5,7 +5,8 @@ log-modulus of every factor's charge at every schedule point, and the phase
 of every factor, come from one vectorized call on the closed-form power
 record of g (cover.PowerRecord), so schedules reach n = 2^20 and beyond
 without overflow and without drift.  The stages of one public call share
-that record; nothing outlives the call.
+that record.  A MassStream keeps every fit of its log mass, so a t grid
+asked of one stream is fitted once, in one batch; nothing else is kept.
 
 Rate extraction runs in two stages.  The dense prefix 1..SEQ_PREFIX of the
 default schedule is scanned for exact linear-plus-periodic structure
@@ -85,6 +86,15 @@ class HomTable:
 
     def rows(self):
         return sorted(self._by_row)
+
+    @functools.cached_property
+    def _weights(self):
+        """(first entry of each row, row of each entry, k, log dim), entries in row order."""
+        rows = [self._by_row[n] for n in self.rows()]
+        sizes = [len(row) for row in rows]
+        ks = np.fromiter((k for row in rows for k in row), np.int64)
+        log_dims = np.fromiter((math.log(d) for row in rows for d in row.values()), float)
+        return np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(rows)), sizes), ks, log_dims
 
     def row(self, n):
         return dict(self._by_row.get(n, {}))
@@ -227,7 +237,7 @@ def _default_schedule(n_max):
 
 
 class MassStream:
-    """Per-factor log-moduli and phases of the iterated seed object."""
+    """Per-factor log-moduli and phases of the iterated seed object, and its fits so far."""
 
     def __init__(self, triple, seed, n_max=4096, schedule=None):
         self._fill(triple, seed, n_max, schedule, None)
@@ -253,11 +263,11 @@ class MassStream:
             phases.append(d.phase)
         if not charges:
             raise ValueError("seed has no factors with nonzero charge")
-        record = record or cover.power_record(triple.g)
+        self.record = record = record or cover.power_record(triple.g)
         w = np.array(charges)
-        n = np.array(ns)[None, :]
-        self.logs = record.log_charge(w[:, :1], w[:, 1:], n)
-        self.phis = record.phase(np.array(phases)[:, None], n)
+        self.logs, self.phis = record.log_charge_and_phase(
+            w[:, :1], w[:, 1:], np.array(phases)[:, None], np.array(ns)[None, :])
+        self._fits = {}
 
     def log_mass(self, t=0.0):
         """log m_{sigma,t}(Phi^n seed) for every schedule point."""
@@ -265,16 +275,25 @@ class MassStream:
         top = np.max(x, axis=0)
         return top + np.log(np.sum(np.exp(x - top[None, :]), axis=0))
 
+    def fits(self, ts):
+        """[(log_mass(t), (exp_rate, poly_rate, diagnostics))] for each t of ts.
+        On a miss, every t of DEFAULT_T_GRID and ts not fitted yet is fitted
+        in one _fit_streams batch and kept; the fit stages are row-wise, so a
+        row's fit does not depend on its batch."""
+        ts = [float(t) for t in ts]
+        todo = [t for t in dict.fromkeys(DEFAULT_T_GRID + tuple(ts)) if t not in self._fits]
+        if any(t in todo for t in ts):
+            rows = [self.log_mass(t) for t in todo]
+            self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, np.array(rows)))))
+        return [self._fits[t] for t in ts]
+
 
 def mass_growth(triple, seed, t=0.0, n_max=4096, schedule=None, stream=None):
     """Exponential rate of log mass along the iteration."""
     stream = stream or MassStream(triple, seed, n_max=n_max, schedule=schedule)
-    ys = stream.log_mass(t)
-    exp_rate, poly_rate, diag = _fit_stream(stream.ns, ys)
-    closed = None
-    if triple.spanning:
-        record = cover.power_record(triple.g)
-        closed = (record.log_rho, float(record.jordan))
+    ((ys, (exp_rate, poly_rate, diag)),) = stream.fits([t])
+    record = stream.record if stream.triple is triple else cover.power_record(triple.g)
+    closed = (record.log_rho, float(record.jordan)) if triple.spanning else None
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys)),
         exp_rate=float(exp_rate),
@@ -353,15 +372,15 @@ def _nu_estimates(phis, n_max):
 def shifting_numbers(triple, seed, n_max=2**16):
     """Linear phase drift of the extreme factor phases of the seed."""
     triple.require_verified()
-    return _shifts(cover.power_record(triple.g), seed, n_max)
+    return _shifts(cover.power_record(triple.g), seed, n_max)[0]
 
 
-def _shifts(record, seed, n_max):
-    """shifting_numbers from the power record of g."""
-    top, bottom = stability.phases(seed)
-    ns = list(range(SEQ_PREFIX + 1)) + [n_max // 2, n_max]
-    phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
-    (nu_up, d_up), (nu_lo, d_lo) = _nu_estimates(phis, n_max)
+def _shifts(record, seed, n_max, extra=()):
+    """(shifting_numbers, phases) from the power record of g: the extreme
+    phases, a row each, at n = 0..SEQ_PREFIX, n_max // 2, n_max, then extra."""
+    ns = list(range(SEQ_PREFIX + 1)) + [n_max // 2, n_max] + list(extra)
+    phis = record.phase(np.array(stability.phases(seed))[:, None], np.array(ns)[None, :])
+    (nu_up, d_up), (nu_lo, d_lo) = _nu_estimates(phis[:, : SEQ_PREFIX + 3], n_max)
     tau = record.tau
     return ShiftingNumbers(
         nu_upper=float(nu_up),
@@ -373,21 +392,24 @@ def _shifts(record, seed, n_max):
             "upper_vs_translation": abs(nu_up - tau),
             "spread": abs(nu_up - nu_lo),
         },
-    )
+    ), phis
 
 
 def pol_shifting_numbers(triple, seed, n_max=2**16):
     """Log n rates of the phase deviations, plus the sublinearity check."""
     triple.require_verified()
-    record = cover.power_record(triple.g)
-    return _pol_shifts(record, seed, n_max, _shifts(record, seed, n_max))
+    return _pol_shifts(cover.power_record(triple.g), seed, n_max)[1]
 
 
-def _pol_shifts(record, seed, n_max, base):
-    """pol_shifting_numbers from the already computed linear ones, base."""
+def _pol_shifts(record, seed, n_max):
+    """(shifting_numbers, pol_shifting_numbers) from one evaluation of the
+    extreme phases: _shifts evaluates them on the default schedule too."""
     top, bottom = stability.phases(seed)
-    ns = np.array(_default_schedule(n_max), dtype=float)
-    phis = record.phase(np.array([[top], [bottom]]), ns[None, :])
+    sched = _default_schedule(n_max)
+    k = min(SEQ_PREFIX, n_max)  # sched is 1..k, then the points above SEQ_PREFIX
+    base, phis = _shifts(record, seed, n_max, sched[k:])
+    phis = np.concatenate([phis[:, 1 : k + 1], phis[:, SEQ_PREFIX + 3 :]], axis=1)
+    ns = np.array(sched, dtype=float)
     nus = [base.nu_upper, base.nu_lower]
     fitted = [r for r, side in enumerate(("upper", "lower"))
               if base.diagnostics[side].get("structure") != "linear_plus_periodic"]
@@ -399,14 +421,11 @@ def _pol_shifts(record, seed, n_max, base):
     nu_pol_up, nu_pol_lo = pols
     top_n, bottom_n = phis[:, -1].tolist()
     sublinearity = (top_n - bottom_n - (top - bottom)) / math.log(ns[-1])
-    return ShiftingNumbers(
+    return base, ShiftingNumbers(
         nu_upper=float(nu_pol_up),
         nu_lower=float(nu_pol_lo),
         translation=base.translation,
-        diagnostics={
-            "linear": base,
-            "sublinearity": sublinearity,
-        },
+        diagnostics={"linear": base, "sublinearity": sublinearity},
     )
 
 
@@ -415,14 +434,12 @@ def _pol_shifts(record, seed, n_max, base):
 
 
 def _table_log_eps(table, t):
-    ns = table.rows()
-    ys = []
-    for n in ns:
-        row = table.row(n)
-        vals = [math.log(d) - k * t for k, d in row.items()]
-        top = max(vals)
-        ys.append(top + math.log(sum(math.exp(v - top) for v in vals)))
-    return ns, ys
+    """The rows and the log of each row's sum of dim e^(-k t) (a log-sum-exp)."""
+    starts, row_of, ks, log_dims = table._weights
+    vals = log_dims - ks * t
+    top = np.maximum.reduceat(vals, starts)
+    sums = np.add.reduceat(np.exp(vals - top[row_of]), starts)
+    return table.rows(), (top + np.log(sums)).tolist()
 
 
 def entropy_from_hom(table, t=0.0):
@@ -476,12 +493,9 @@ def epsilon_bounds_from_hom(table):
     lower one is -max k.
     """
     ns = table.rows()
-    eps_plus = []
-    eps_minus = []
-    for n in ns:
-        ks = sorted(table.row(n))
-        eps_plus.append(-ks[0])
-        eps_minus.append(-ks[-1])
+    starts, _, ks, _ = table._weights
+    eps_plus = (-np.minimum.reduceat(ks, starts)).tolist()
+    eps_minus = (-np.maximum.reduceat(ks, starts)).tolist()
     nu_up, nu_lo = theil_sen_slope(ns, [eps_plus, eps_minus]) if len(ns) > 1 else (0.0, 0.0)
     return EpsilonBounds(
         ns=tuple(ns),
@@ -517,13 +531,11 @@ DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 def _mass_rates(record, triple, seed, t_grid, n_max):
-    """h_{sigma,t} and its polynomial companion for every t: one stream pass,
-    and one batched fit of the whole grid."""
+    """{t: (h_{sigma,t}, its polynomial rate, diagnostics)}: one stream, one batched fit."""
     stream = MassStream.__new__(MassStream)
     stream._fill(triple, seed, n_max, None, record)
-    fits = _fit_streams(stream.ns, np.array([stream.log_mass(t) for t in t_grid]))
-    rates = {t: (float(e), float(p), diag) for t, (e, p, diag) in zip(t_grid, fits)}
-    return stream, rates
+    fits = stream.fits(t_grid)
+    return {t: (float(e), float(p), diag) for t, (_, (e, p, diag)) in zip(t_grid, fits)}
 
 
 def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096, tol=5e-2):
@@ -536,11 +548,10 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
     n_shift = max(n_max, 2**14)
     record = cover.power_record(triple.g)
-    _, rates = _mass_rates(record, triple, seed, t_grid, n_max)
+    rates = _mass_rates(record, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts = _shifts(record, seed, n_shift)
-    pol_shifts = _pol_shifts(record, seed, n_shift, shifts)
+    shifts, pol_shifts = _pol_shifts(record, seed, n_shift)
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -630,10 +641,9 @@ def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=N
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
     n_shift = max(n_max, 2**14)
     record = cover.power_record(triple.g)
-    _, rates = _mass_rates(record, triple, seed, t_grid, n_max)
+    rates = _mass_rates(record, triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
-    shifts = _shifts(record, seed, n_shift)
-    nu = shifts.nu_upper
+    nu = _shifts(record, seed, n_shift)[0].nu_upper
     fitted = tuple(rates[t][0] for t in t_grid)
     deviations = [abs(h - (h_sigma + nu * t)) for t, h in zip(t_grid, fitted)]
     ent = None

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabdyn import families, scenarios, stability
+from stabdyn import families, growth, scenarios, stability
 from stabdyn.cli import main
 
 GOLDEN2 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -188,6 +188,24 @@ def test_growth_csv_format(tmp_path, capsys):
     assert main(["growth", path, "--n-max", "64", "--t-grid", "0", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,value"
+
+
+def test_growth_fits_a_custom_t_grid_in_one_batch(tmp_path, capsys, monkeypatch):
+    batches = []
+    fit = growth._fit_streams
+
+    def counting(ns, Y):
+        batches.append(len(Y))
+        return fit(ns, Y)
+
+    monkeypatch.setattr(growth, "_fit_streams", counting)
+    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    assert main(["growth", path, "--n-max", "2048", "--t-grid", "0.25,-3,1,0.25"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["t_grid"] == [0.25, -3.0, 1.0, 0.25] and len(out["reports"]) == 4
+    assert batches == [len(set(growth.DEFAULT_T_GRID) | {0.25, -3.0})]
+    assert main(["growth", path, "--n-max", "2048"]) == 0
+    assert batches[1:] == [len(growth.DEFAULT_T_GRID)]
 
 
 def test_growth_linear_schedule(tmp_path, capsys):

@@ -561,3 +561,58 @@ def test_classify_kind_agrees_with_power_record():
     for _ in range(20):
         g = families.random_cover_element(rng)
         assert classify(g).conjugacy_type == power_record(g).kind
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "elliptic"])
+def test_phase_on_an_outer_grid_equals_scalar_calls_exactly(kind):
+    # the coefficients of M^n run on the exponents' own shape and v(phi) on
+    # the phases' own shape; every entry of the broadcast grid must still be
+    # bit-identical to its scalar call, in both orientations
+    rng = np.random.default_rng(83)
+    phis = rng.uniform(-3.0, 3.0, size=10).tolist()
+    phis += [0.0, 0.25, 0.5, -0.5, 1.0, -2.0, 3.0, 1.0 - 2.0**-53, -(2.0**-60)]
+    ns = [0, 1, 2, 7, 512, 4097, 2**20]
+    for shift in (-1, 0, 2):
+        record = power_record(families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g)
+        assert record.kind == kind
+        grid = record.phase(np.array(phis)[None, :], np.array(ns)[:, None])
+        assert grid.shape == (len(ns), len(phis))
+        for row, n in zip(grid.tolist(), ns):
+            assert row == [record.phase(phi, n) for phi in phis]
+        assert grid[0].tolist() == phis  # the n = 0 row is the identity
+        assert (record.phase(np.array(phis)[:, None], np.array(ns)[None, :]) == grid.T).all()
+
+
+def test_outer_grid_keeps_the_underflowing_exact_eigenvector():
+    # s^n rho^(n-1) underflows for diag(2, 0.5) at n = 2^20; the phases +-0.5
+    # are exact eigenvectors and must keep their phase on a 2-D grid too
+    record = power_record(lift_from([[2.0, 0.0], [0.0, 0.5]], 0.0))
+    phis = [0.1, -0.7, 0.5, -0.5, 1.5, 0.3, 2.0, 0.0]
+    ns = [0, 1, 2**20, 2**20 + 1]
+    grid = record.phase(np.array(phis)[None, :], np.array(ns)[:, None])
+    for row, n in zip(grid.tolist(), ns):
+        assert row == [record.phase(phi, n) for phi in phis]
+    assert grid[2:, 2].tolist() == [0.5, 0.5] and grid[2:, 3].tolist() == [-0.5, -0.5]
+
+
+def test_log_charge_and_phase_evaluate_the_coefficients_once(monkeypatch):
+    rng = np.random.default_rng(89)
+    calls = []
+    coeffs = cover.PowerRecord._coeffs
+
+    def counting(self, n):
+        calls.append(np.shape(n))
+        return coeffs(self, n)
+
+    monkeypatch.setattr(cover.PowerRecord, "_coeffs", counting)
+    ns = np.array([1, 2, 3, 100, 4096, 2**20])[None, :]
+    w = rng.normal(size=(3, 2))
+    phis = rng.uniform(-2.0, 2.0, size=(3, 1))
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        record = power_record(families.compatible_triple(rng, rank=2, kind=kind).g)
+        calls.clear()
+        logs, phases = record.log_charge_and_phase(w[:, :1], w[:, 1:], phis, ns)
+        assert calls == [ns.shape]
+        assert (logs == record.log_charge(w[:, :1], w[:, 1:], ns)).all()
+        assert (phases == record.phase(phis, ns)).all()
+        assert record.log_charge_and_phase(1.0, 0.0, None, 5)[1] is None

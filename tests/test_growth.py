@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from stabdyn import _fit, cover, families, growth, lattice, stability
+from stabdyn import _fit, cover, families, growth, lattice, scenarios, stability
 from stabdyn.errors import EmptyTable, UnverifiedTriple
 from stabdyn._fit import geometric_schedule
 from stabdyn.growth import (
@@ -508,8 +509,9 @@ def test_growth_calls_build_one_power_record_and_walk_no_orbit(monkeypatch, call
 @pytest.mark.parametrize("suite", [yomdin_suite, linearity_check], ids=["yomdin", "linearity"])
 @pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, (0.0, 1.0)], ids=["grid7", "grid2"])
 def test_a_t_grid_is_fitted_in_one_batch(monkeypatch, suite, t_grid):
-    # the period detector runs once over the t grid and once over the two
-    # extreme phases; the suffix-slope pass at most once for each of them
+    # the period detector runs once over the t grid (with the default grid)
+    # and once over the two extreme phases; the suffix-slope pass at most
+    # once for each of them
     rows = {"detect": [], "suffix": []}
     detect, suffixes = growth._detect_linear_periodic, _fit.suffix_slopes
 
@@ -533,10 +535,11 @@ def test_a_t_grid_is_fitted_in_one_batch(monkeypatch, suite, t_grid):
             m.setattr(growth, "_detect_linear_periodic", counting_detect)
             m.setattr(_fit, "suffix_slopes", counting_suffixes)
             suite(t, seed_of(t), t_grid=t_grid, n_max=1024)
-        assert sorted(rows["detect"]) == sorted([len(t_grid), 2])
+        batch = len(set(t_grid) | set(DEFAULT_T_GRID))  # a stream fits the default grid along
+        assert sorted(rows["detect"]) == sorted([batch, 2])
         assert len(rows["suffix"]) <= (2 if suite is yomdin_suite else 1)
-        assert all(k <= len(t_grid) for k in rows["suffix"])
-        whole_grids += len(t_grid) in rows["suffix"]
+        assert all(k <= batch for k in rows["suffix"])
+        whole_grids += batch in rows["suffix"]
     assert whole_grids >= 2  # the parabolic triples fit every t in one suffix pass
 
 
@@ -608,3 +611,139 @@ def test_pol_mass_growth_has_no_parabolic_drift_at_two_to_the_twenty():
         rep = pol_mass_growth(t, families.seed_object(t), n_max=2**20)
         assert rep.closed_form == (0.0, 1.0)
         assert abs(rep.poly_rate - 1.0) <= 0.2, (t.g.m, rep.poly_rate)
+
+
+def _growth_triples(rng):
+    triples = [hyperbolic_triple(), curve_triple(3, m=1), shift_triple(2)]
+    return triples + [families.compatible_triple(rng, rank=3, kind=k, shift=1)
+                      for k in ("hyperbolic", "parabolic", "elliptic")]
+
+
+def test_mass_growth_through_a_shared_stream_equals_a_private_stream():
+    # a stream fits the default grid in one batch; every report must equal
+    # the one of a private stream and the single-row fit of the same row
+    for t in _growth_triples(np.random.default_rng(97)):
+        seed = seed_of(t)
+        stream = MassStream(t, seed, n_max=4096)
+        for x in DEFAULT_T_GRID + (0.25,):
+            shared = mass_growth(t, seed, t=x, stream=stream)
+            assert repr(shared) == repr(mass_growth(t, seed, t=x, n_max=4096))
+            row = stream.log_mass(x)
+            assert [v for _, v in shared.samples] == row.tolist()
+            want = growth._fit_stream(stream.ns, row)
+            assert repr((shared.exp_rate, shared.poly_rate)) == repr((float(want[0]), float(want[1])))
+            assert repr(shared.diagnostics) == repr(dict(want[2], t=x))
+
+
+def test_a_stream_fits_its_grid_in_one_batch_and_keeps_the_fits(monkeypatch):
+    batches = []
+    fit = growth._fit_streams
+
+    def counting(ns, Y):
+        batches.append(len(Y))
+        return fit(ns, Y)
+
+    monkeypatch.setattr(growth, "_fit_streams", counting)
+    t = hyperbolic_triple()
+    seed = seed_of(t)
+    stream = MassStream(t, seed, n_max=4096)
+    first = [repr(mass_growth(t, seed, t=x, stream=stream)) for x in DEFAULT_T_GRID]
+    assert batches == [len(DEFAULT_T_GRID)]
+    assert [repr(mass_growth(t, seed, t=x, stream=stream)) for x in DEFAULT_T_GRID] == first
+    assert batches == [len(DEFAULT_T_GRID)]  # repeat calls fit nothing
+    mass_growth(t, seed, t=0.25, stream=stream)
+    mass_growth(t, seed, t=0.25, stream=stream)
+    assert batches == [len(DEFAULT_T_GRID), 1]
+    # a fresh stream asked for one t outside the grid fits the grid along
+    stream = MassStream(t, seed, n_max=4096)
+    assert len(stream.fits([0.25, 3.0])) == 2
+    assert batches[2:] == [len(DEFAULT_T_GRID) + 2]
+    for x in (0.0, 3.0):
+        mass_growth(t, seed, t=x, stream=stream)
+    assert len(batches) == 3
+
+
+def _row_loop_log_eps(table, t):
+    """The former per-row loop of growth._table_log_eps, kept as a reference."""
+    ns = table.rows()
+    ys = []
+    for n in ns:
+        vals = [math.log(d) - k * t for k, d in table.row(n).items()]
+        top = max(vals)
+        ys.append(top + math.log(sum(math.exp(v - top) for v in vals)))
+    return ns, ys
+
+
+def test_table_log_eps_matches_the_row_loop():
+    single = [p1_table(4096), HomTable({(n, 0): 2**n for n in range(1, 320)}),
+              HomTable({(n, (n % 5) - 2): n * n + 1 for n in range(1, 700)})]
+    rng = np.random.default_rng(101)
+    multi = []
+    for _ in range(4):
+        entries = {}
+        for n in range(1, 300):
+            for k in rng.choice(np.arange(-6, 7), size=rng.integers(1, 12), replace=False):
+                entries[(n, int(k))] = int(rng.integers(1, 10**6))
+        multi.append(HomTable(entries))
+    for t in DEFAULT_T_GRID + (0.25,):
+        for table in single:  # one entry per row: bit-identical, Python floats
+            ns, ys = growth._table_log_eps(table, t)
+            assert (ns, ys) == _row_loop_log_eps(table, t)
+            assert all(type(y) is float for y in ys)
+        for table in multi:  # summation order may move the last bit
+            ns, ys = growth._table_log_eps(table, t)
+            want_ns, want = _row_loop_log_eps(table, t)
+            assert ns == want_ns
+            assert ys == pytest.approx(want, rel=1e-15, abs=1e-15)
+    for table in single[1:] + multi:  # the extremal shifts read the same arrays
+        eb = epsilon_bounds_from_hom(table)
+        ks = [sorted(table.row(n)) for n in table.rows()]
+        assert eb.eps_plus == tuple(-k[0] for k in ks)
+        assert eb.eps_minus == tuple(-k[-1] for k in ks)
+
+
+def test_curve_scenario_builds_the_table_arrays_once(monkeypatch):
+    builds = []
+    weights = HomTable._weights.func
+
+    def counting(self):
+        builds.append(self.n_max)
+        return weights(self)
+
+    counting.__name__ = "_weights"
+    prop = functools.cached_property(counting)
+    prop.__set_name__(HomTable, "_weights")
+    monkeypatch.setattr(HomTable, "_weights", prop)
+    scenarios.curve_scenario()
+    assert builds == [4096]
+
+
+def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):
+    calls = []
+    phase = cover.PowerRecord.phase
+
+    def counting(self, phi, n):
+        calls.append(np.size(n))
+        return phase(self, phi, n)
+
+    monkeypatch.setattr(cover.PowerRecord, "phase", counting)
+    for t in _growth_triples(np.random.default_rng(103)):
+        seed = seed_of(t)
+        record = cover.power_record(t.g)
+        top_bottom = np.array(stability.phases(seed))[:, None]
+        for n_max in (64, 1000, 4096, 2**16):
+            calls.clear()
+            pol = pol_shifting_numbers(t, seed, n_max=n_max)
+            assert len(calls) == 1
+            base = pol.diagnostics["linear"]
+            assert repr(base) == repr(shifting_numbers(t, seed, n_max=n_max))
+            # the same numbers from a separate evaluation on the default schedule
+            ns = np.array(default_schedule(n_max))
+            ref = phase(record, top_bottom, ns[None, :])
+            slopes = growth._poly_rate_about(ns.astype(float), ref, [base.nu_upper, base.nu_lower])[0]
+            for side, got, want in zip(("upper", "lower"), (pol.nu_upper, pol.nu_lower), slopes):
+                if base.diagnostics[side]["structure"] != "linear_plus_periodic":
+                    assert got == want
+            top_n, bottom_n = ref[:, -1].tolist()
+            spread = top_bottom[0, 0] - top_bottom[1, 0]
+            assert pol.diagnostics["sublinearity"] == (top_n - bottom_n - spread) / math.log(n_max)

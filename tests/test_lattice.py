@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stabdyn import families
 from stabdyn.errors import DegenerateSpectrum
 from stabdyn.lattice import (
     IntMatrix,
@@ -300,3 +301,15 @@ def test_inverse_unimodular_roundtrip():
         P = random_unimodular(rng, 4)
         Pi = inverse_unimodular(P)
         assert (P @ Pi).entries == IntMatrix.identity(4).entries
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateSpectrum,
+                   reason="the SVD rank chain misreads (A - lambda I)^k on odd block ranks")
+@pytest.mark.parametrize("s", [9, 14])
+def test_odd_rank_hyperbolic_block_map_has_jordan_data(s):
+    # verified hyperbolic block maps of rank 15: chi is exact, but the Jordan
+    # ranks of the small eigenvalue of multiplicity 7 come out inconsistent;
+    # exact ranks of f(A)^k (Bareiss pivots) must turn this into a pass
+    triple = families.compatible_triple(np.random.default_rng(s), rank=15, kind="hyperbolic")
+    data = spectral_data(triple.auto.P)
+    assert sum(ev.multiplicity for ev in data.eigenvalues) == 15
