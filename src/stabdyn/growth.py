@@ -20,7 +20,7 @@ schedule, such as the t grid of one mass stream.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -455,25 +455,16 @@ def entropy_from_hom(table, t=0.0):
 
 
 def pol_entropy_from_hom(table, t=0.0):
-    """Log n rate of the weighted Hom sums after removing the linear term."""
-    ns, ys = _table_log_eps(table, t)
-    exp_rate, _, diag = _fit_stream(ns, ys)
-    if diag.get("structure") == "linear_plus_periodic":
-        poly, window, max_slope = 0.0, diag.get("window"), 0.0
-    else:
-        (poly,), window, (max_slope,) = _poly_rate_about(
-            np.asarray(ns, dtype=float), np.array([ys]), [exp_rate])
-    return GrowthReport(
-        samples=tuple(zip(ns, ys)),
-        exp_rate=float(exp_rate),
-        poly_rate=float(poly),
-        diagnostics={
-            "t": t,
-            "rate_subtracted": exp_rate,
-            "poly_window": window,
-            "poly_max_window_slope": max_slope,
-        },
-    )
+    """Log n rate of the weighted Hom sums after removing the linear and d/n
+    terms: entropy_from_hom's own poly rate, with the polynomial diagnostics."""
+    rep = entropy_from_hom(table, t)
+    diag = rep.diagnostics
+    return replace(rep, diagnostics={
+        "t": t,
+        "rate_subtracted": rep.exp_rate,
+        "poly_window": diag.get("poly_window", diag["window"]),
+        "poly_max_window_slope": diag.get("poly_max_window_slope", 0.0),
+    })
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ array, joined by CRT, with enough primes for the bound |c_k| <= C(n, k) *
 (product of the k largest row 2-norms).  The square-free split first checks
 that p and p' are coprime mod the prime 2^31 - 1, which certifies a
 square-free p; otherwise Yun's loop runs on primitive-PRS gcds with exact
-division by monic factors.  The numerical layer (root polishing, Jordan
-chain ranks, norm-growth estimation) is plain numpy float64 with the
-thresholds stated in the docstrings, so every test is reproducible.
+division by monic factors.  Jordan data is exact: one elimination of the
+columns of f(A)^k, f a Yun factor, gives a kernel basis, whose Krylov
+chains tell apart roots of f with different blocks.  Root polishing and
+norm-growth estimation are plain numpy float64 with the thresholds stated
+in the docstrings, so every test is reproducible.
 """
 
 import math
@@ -36,8 +38,6 @@ from .errors import DegenerateSpectrum, RootFindingDiverged, SingularMatrix
 
 # Relative width of the top-modulus eigenvalue cluster (see poly_growth_rate).
 DEFAULT_CLUSTER_TOL = 1e-7
-# Singular values below this times the largest count as zero in rank chains.
-DEFAULT_RANK_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +372,17 @@ def _poly_eval(coeffs, x):
 # characteristic and minimal polynomials (Krylov chains, Keller-Gehrig 1985)
 
 
-def _krylov_chain(A, j, elim):
-    """Feed e_j, A e_j, A^2 e_j, ... into elim until one is dependent.
+def _krylov_chain(A, v, elim):
+    """Feed v, A v, A^2 v, ... into elim until one is dependent; return the
+    chain's monic polynomial, [1] if v itself is dependent.
 
-    Returns the monic polynomial of the chain, read off the dependence
-    coordinates of the chain's own pivot columns, the last unknowns of
-    elim.solve: A^k e_j = sum_i c_i A^i e_j modulo the columns elim held
-    before, so x^k - sum_i c_i x^i.  Over the basis of all chains fed so far
-    A is block upper triangular with companion blocks, so the chain
-    polynomial is a monic rational factor of char_poly(A), integral by
-    Gauss's lemma; an inexact division raises ArithmeticError.  A chain
-    whose e_j is already dependent returns [1].
+    A^k v = sum_i c_i A^i v modulo the columns elim held before, the c_i
+    being the last unknowns of elim.solve, so x^k - sum_i c_i x^i.  Over the
+    basis of all chains fed so far A is block upper triangular with
+    companion blocks, so this is a monic factor of char_poly(A), integral by
+    Gauss's lemma (an inexact division raises ArithmeticError).
     """
     start = len(elim.rows)
-    v = [int(i == j) for i in range(A.dim)]
     while True:
         y = elim.feed(v)
         if y is not None:
@@ -394,30 +391,31 @@ def _krylov_chain(A, j, elim):
     return [1] + [-c for c in reversed(elim.solve(y, start))]
 
 
-def _krylov_char_poly(A):
-    """Monic characteristic polynomial as a product of Krylov chain polynomials.
-
-    Chains from e_0, e_1, ... are fed into one fraction-free elimination
-    until it holds n pivots; the chains then form a basis in which A is
-    block upper triangular with one companion block per chain.  A dense
-    (cyclic) matrix needs one chain, a derogatory one several.
-    """
+def _chain_product(A, starts):
+    """Characteristic polynomial of A on the A-invariant span of the
+    independent integer vectors starts: their chains, fed into one
+    elimination until it holds len(starts) pivots, form a basis in which A
+    is block upper triangular with one companion block per chain."""
     elim = _Bareiss()
     coeffs = [1]
-    for j in range(A.dim):
-        coeffs = _poly_mul(coeffs, _krylov_chain(A, j, elim))
-        if len(elim.rows) == A.dim:
+    for v in starts:
+        coeffs = _poly_mul(coeffs, _krylov_chain(A, v, elim))
+        if len(elim.rows) == len(starts):
             break
     return coeffs
 
 
-def _annihilates(A, coeffs, j):
-    """Whether coeffs(A) e_j = 0, by a Horner matrix-vector product."""
-    acc = [0] * A.dim
-    for c in coeffs:
-        acc = _apply(A.entries, acc)
-        acc[j] += c
-    return not any(acc)
+def _krylov_char_poly(A):
+    """Monic characteristic polynomial: the chain product from e_0, e_1, ..."""
+    return _chain_product(A, np.eye(A.dim, dtype=int).tolist())
+
+
+def _poly_apply(A, coeffs, v):
+    """coeffs(A) v by Horner's rule from c_0 v, coefficients descending."""
+    acc = [coeffs[0] * x for x in v]
+    for c in coeffs[1:]:
+        acc = [a + c * x for a, x in zip(_apply(A.entries, acc), v)]
+    return acc
 
 
 def min_poly(A):
@@ -431,12 +429,13 @@ def min_poly(A):
     monic gcd) stays integral.  Returns (coefficients descending,
     used_char_poly=False).
     """
-    mu = _krylov_chain(A, 0, _Bareiss())
-    for j in range(1, A.dim):
+    units = np.eye(A.dim, dtype=int).tolist()
+    mu = _krylov_chain(A, units[0], _Bareiss())
+    for e in units[1:]:
         if len(mu) == A.dim + 1:
             break
-        if not _annihilates(A, mu, j):
-            mu_j = _krylov_chain(A, j, _Bareiss())
+        if any(_poly_apply(A, mu, e)):
+            mu_j = _krylov_chain(A, e, _Bareiss())
             mu = _poly_mul(mu, _poly_div_monic(mu_j, _poly_gcd(mu, mu_j)))
     return mu, False
 
@@ -577,20 +576,70 @@ def char_poly(A):
 # eigenvalues and Jordan structure
 
 
-def _certified_roots(coeffs, tol):
-    """Roots of a monic integer polynomial with per-root residual bounds.
+def _kernel(cols):
+    """Integer kernel basis of the matrix with these columns, from one
+    elimination: a dependent column j = sum_t a_t (pivot column c_t) gives
+    p e_j - sum_t p a_t e_(c_t), p the last pivot (Cramer's rule)."""
+    elim, pivots, basis = _Bareiss(), [], []
+    for j, col in enumerate(cols):
+        y = elim.feed(col)
+        if y is None:
+            pivots.append(j)
+            continue
+        v = [0] * len(cols)
+        v[j] = p = elim.pivot
+        for i, a in zip(pivots, elim.solve(y, 0, p)):
+            v[i] = -a
+        basis.append(v)
+    return basis
 
-    Square-free factors are split off exactly first, so repeated eigenvalues
-    never degrade the root accuracy of the simple ones.  Returns a list of
-    (root, multiplicity, residual).
+
+def _jordan_pieces(A, coeffs):
+    """(piece, multiplicity, Jordan block sizes) covering the roots of coeffs = chi_A.
+
+    A Yun factor f of multiplicity m splits into pieces whose roots lam share
+    d_k = dim ker (A - lam)^k for every k; lam has d_k - d_(k-1) blocks of
+    size >= k.  ker f(A)^k has dimension sum_lam d_k(lam): m deg f ends the
+    loop (every d_k is m), and for a linear f it is d_k.  Otherwise the
+    Krylov chains of a kernel basis multiply to prod_lam (x - lam)^d_k(lam),
+    and gcds with its Yun factors split the pieces.
     """
+    out, units = [], np.eye(A.dim, dtype=int).tolist()
+    for f, m in squarefree_decomposition(coeffs):
+        pieces, cols = [(f, [0])], units
+        while m > 1:
+            cols = [_poly_apply(A, f, c) for c in cols]
+            if len(f) == 2:  # f is linear: only the rank counts, so keep a basis of im f(A)^k
+                elim = _Bareiss()
+                cols = [c for c in cols if elim.feed(c) is None]
+                nullity = A.dim - len(cols)
+            else:
+                basis = _kernel(cols)
+                nullity = len(basis)
+            if nullity == m * (len(f) - 1):
+                break
+            split = [(f, nullity)] if len(f) == 2 else squarefree_decomposition(
+                _chain_product(A, basis))
+            pieces = [(h, ds + [j]) for q, ds in pieces for g, j in split
+                      for h in [_poly_gcd(q, g)] if len(h) > 1]
+        for q, ds in pieces:
+            at_least = [b - a for a, b in zip(ds, ds[1:] + [m])]  # blocks of size >= k
+            out.append((q, m, tuple(sum(c >= i for c in at_least)
+                                    for i in range(1, at_least[0] + 1))))
+    return out
+
+
+def _certified_roots(coeffs, pieces, tol):
+    """(root, residual bound, *data) for each root of each piece (factor, *data),
+    the square-free factors of the monic integer polynomial coeffs.  Each
+    root is found and polished on its own piece, so repeated eigenvalues
+    never degrade the root accuracy of the simple ones."""
     out = []
     norm = max(abs(c) for c in coeffs)
     deg_total = len(coeffs) - 1
-    for factor, mult in squarefree_decomposition(coeffs):
-        roots = np.roots(np.array(factor, dtype=float))
-        dfactor = [c * (len(factor) - 1 - i) for i, c in enumerate(factor[:-1])]
-        for r in roots:
+    for factor, *data in pieces:
+        dfactor = _poly_derivative(factor)
+        for r in np.roots(np.array(factor, dtype=float)):
             z = complex(r)
             for _ in range(3):
                 pv = _poly_eval(factor, z)
@@ -600,47 +649,12 @@ def _certified_roots(coeffs, tol):
                 z -= pv / dv
             if abs(z.imag) < 1e-12 * max(1.0, abs(z.real)):
                 z = complex(z.real, 0.0)
-            pv = abs(_poly_eval(coeffs, z))
-            scale = norm * max(1.0, abs(z)) ** deg_total
-            residual = pv / scale
+            residual = abs(_poly_eval(coeffs, z)) / (norm * max(1.0, abs(z)) ** deg_total)
             if residual > tol:
                 raise RootFindingDiverged(
-                    "root residual %.3e above tolerance %.3e" % (residual, tol)
-                )
-            out.append((z, mult, residual))
+                    "root residual %.3e above tolerance %.3e" % (residual, tol))
+            out.append((z, residual, *data))
     return out
-
-
-def _rank(M, rtol):
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
-
-
-def _jordan_blocks(A_float, lam, mult, rtol):
-    """Block sizes of the eigenvalue lam from ranks of (A - lam I)^k."""
-    n = A_float.shape[0]
-    B = A_float.astype(complex) - lam * np.eye(n)
-    ranks = [n]
-    P = np.eye(n, dtype=complex)
-    for _ in range(mult):
-        P = P @ B
-        ranks.append(_rank(P, rtol))
-    counts = []
-    for k in range(1, mult + 1):
-        geq_k = ranks[k - 1] - ranks[k]
-        geq_k1 = ranks[k] - ranks[k + 1] if k + 1 < len(ranks) else 0
-        counts.append(geq_k - geq_k1)
-    sizes = []
-    for size, cnt in enumerate(counts, start=1):
-        sizes.extend([size] * max(0, cnt))
-    if sum(sizes) != mult:
-        # rank thresholds disagreed with the exact multiplicity
-        raise DegenerateSpectrum(
-            "Jordan chain ranks inconsistent with multiplicity %d at %s" % (mult, lam)
-        )
-    return sorted(sizes, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -701,24 +715,16 @@ def _top_cluster(eigs, cluster_tol):
     return top, rho
 
 
-def spectral_data(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL, rank_rtol=DEFAULT_RANK_RTOL):
+def spectral_data(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Full spectral record of an integer matrix.
 
     tol certifies root residuals; cluster_tol (relative) delimits the
-    top-modulus class; rank_rtol is the singular-value cutoff for the
-    Jordan chain ranks.
+    top-modulus class.  Multiplicities and Jordan block sizes are exact.
     """
     coeffs = char_poly(A)
-    roots = _certified_roots(coeffs, tol)
-    Af = A.to_float()
-    eigs = []
-    for z, mult, residual in roots:
-        if mult == 1:
-            blocks = (1,)
-        else:
-            blocks = tuple(_jordan_blocks(Af, z, mult, rank_rtol))
-        eigs.append(EigenvalueData(z, mult, residual, blocks))
-    eigs_sorted = tuple(sorted(eigs, key=lambda e: (-abs(e.value), e.value.real, e.value.imag)))
+    roots = _certified_roots(coeffs, _jordan_pieces(A, coeffs), tol)
+    eigs_sorted = tuple(sorted((EigenvalueData(z, m, r, b) for z, r, m, b in roots),
+                               key=lambda e: (-abs(e.value), e.value.real, e.value.imag)))
     rho = max(abs(e.value) for e in eigs_sorted)
     if rho > 0.0:
         top, rho = _top_cluster(eigs_sorted, cluster_tol)
@@ -731,13 +737,13 @@ def spectral_data(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL, rank_rtol=DEFAUL
 def spectral_radius(A, tol=1e-9):
     """Largest eigenvalue modulus, each root certified to residual <= tol."""
     coeffs = char_poly(A)
-    roots = _certified_roots(coeffs, tol)
-    return float(max(abs(z) for z, _, _ in roots))
+    roots = _certified_roots(coeffs, squarefree_decomposition(coeffs), tol)
+    return float(max(abs(z) for z, *_ in roots))
 
 
-def poly_growth_rate(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL, rank_rtol=DEFAULT_RANK_RTOL):
+def poly_growth_rate(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):
     """One less than the longest Jordan chain among top-modulus eigenvalues."""
-    data = spectral_data(A, tol=tol, cluster_tol=cluster_tol, rank_rtol=rank_rtol)
+    data = spectral_data(A, tol=tol, cluster_tol=cluster_tol)
     if data.rho == 0.0:
         raise ValueError("polynomial growth rate requires a positive spectral radius")
     return data.s
@@ -851,14 +857,9 @@ class MinPolyTransfer:
 def min_poly_root_transfer(A, M, tol=1e-9):
     """Whether mu_A(M) = 0 within tol, so every eigenvalue of M is one of A.
 
-    mu_A is the exact minimal polynomial; if its computation fails the exact
-    characteristic polynomial is substituted and flagged (the divides
-    relation is preserved, only sharpness is lost).
+    mu_A is the exact minimal polynomial, so used_char_poly is always False.
     """
-    try:
-        coeffs, used_char = min_poly(A)
-    except ArithmeticError:
-        coeffs, used_char = char_poly(A), True
+    coeffs, used_char = min_poly(A)
     M = np.asarray(M, dtype=float)
     acc = np.zeros_like(M)
     for c in coeffs:

@@ -7,6 +7,7 @@ expected values, and the tolerance used.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,13 @@ def p1_hom_table(n_max=4096):
     return growth.HomTable({(n, 0): n + 1 for n in range(1, n_max + 1)})
 
 
+@functools.lru_cache(maxsize=8)
+def _p1_entropy_reports(n_max):
+    """(entropy, polynomial entropy) of p1_hom_table(n_max), shared per n_max."""
+    table = p1_hom_table(n_max)
+    return growth.entropy_from_hom(table), growth.pol_entropy_from_hom(table)
+
+
 def curve_scenario(deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID, n_max=4096, pol_n_max=2**18):
     """Tensor-and-shift autoequivalence on the rank/degree lattice of a curve.
 
@@ -131,9 +139,7 @@ def curve_scenario(deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID, n_max=4096, pol_n
         _claim(claims, "polynomial growth intercept is one",
                "single shear block forces log-scale slope one",
                pol.poly_rate, 1.0, 0.15)
-    table = p1_hom_table(min(n_max, 4096))
-    ent = growth.entropy_from_hom(table)
-    pol_ent = growth.pol_entropy_from_hom(table)
+    ent, pol_ent = _p1_entropy_reports(min(n_max, 4096))
     extras["table_entropy"] = ent
     extras["table_polynomial_entropy"] = pol_ent
     _claim(claims, "sections-table entropy vanishes",

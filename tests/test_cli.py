@@ -96,6 +96,18 @@ def test_spectral_unipotent(tmp_path, capsys):
     assert out["s"] == 1
 
 
+def test_spectral_odd_rank_hyperbolic_block_map(tmp_path, capsys):
+    # Jordan data is exact: this rank-15 block map has an eigenvalue of
+    # multiplicity 7 near 0.09 whose blocks all have size 1
+    P = families.compatible_triple(np.random.default_rng(9), rank=15, kind="hyperbolic").auto.P
+    path = write(tmp_path / "m.json", P.to_json())
+    assert main(["spectral", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["s"] == 0
+    assert sorted(ev["multiplicity"] for ev in out["eigenvalues"]) == [1, 7, 7]
+    assert all(ev["block_sizes"] == [1] * ev["multiplicity"] for ev in out["eigenvalues"])
+
+
 def test_spectral_hyperbolic(tmp_path, capsys):
     path = write(tmp_path / "m.json", [[2, 1], [1, 1]])
     assert main(["spectral", path]) == 0

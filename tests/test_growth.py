@@ -243,6 +243,22 @@ def test_pol_entropy_from_hom_p1():
     assert rep.poly_rate == pytest.approx(1.0, abs=0.15)
 
 
+def test_pol_entropy_from_hom_takes_the_stream_fit_poly_rate():
+    # the stream fit removes the d/n term as well as the linear rate; the
+    # polynomial entropy reads its poly rate instead of refitting without it
+    table = scenarios.p1_hom_table(4096)
+    pol, ent = pol_entropy_from_hom(table), entropy_from_hom(table)
+    assert pol.poly_rate == ent.poly_rate
+    assert pol.poly_rate == pytest.approx(1.0, abs=1e-5)
+    assert pol.diagnostics["poly_window"] == ent.diagnostics["poly_window"]
+    assert pol.diagnostics["poly_max_window_slope"] == ent.diagnostics["poly_max_window_slope"]
+    constant = HomTable({(n, 0): 5 for n in range(1, 400)})  # the periodic branch
+    pol, ent = pol_entropy_from_hom(constant), entropy_from_hom(constant)
+    assert ent.diagnostics["structure"] == "linear_plus_periodic"
+    assert pol.diagnostics["poly_window"] == ent.diagnostics["window"]
+    assert pol.diagnostics["poly_max_window_slope"] == 0.0 == pol.poly_rate
+
+
 def test_pol_entropy_from_hom_quadratic():
     table = HomTable({(n, 0): n * n + 1 for n in range(1, 4097)})
     rep = pol_entropy_from_hom(table)
@@ -714,8 +730,10 @@ def test_curve_scenario_builds_the_table_arrays_once(monkeypatch):
     prop = functools.cached_property(counting)
     prop.__set_name__(HomTable, "_weights")
     monkeypatch.setattr(HomTable, "_weights", prop)
+    scenarios._p1_entropy_reports.cache_clear()  # an earlier call may hold the reports
     scenarios.curve_scenario()
-    assert builds == [4096]
+    scenarios.curve_scenario()
+    assert builds == [4096]  # the table's reports are shared per n_max: one build for both calls
 
 
 def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabdyn import families
+from stabdyn import families, lattice
 from stabdyn.errors import DegenerateSpectrum
 from stabdyn.lattice import (
     IntMatrix,
@@ -303,13 +303,115 @@ def test_inverse_unimodular_roundtrip():
         assert (P @ Pi).entries == IntMatrix.identity(4).entries
 
 
-@pytest.mark.xfail(strict=True, raises=DegenerateSpectrum,
-                   reason="the SVD rank chain misreads (A - lambda I)^k on odd block ranks")
-@pytest.mark.parametrize("s", [9, 14])
-def test_odd_rank_hyperbolic_block_map_has_jordan_data(s):
-    # verified hyperbolic block maps of rank 15: chi is exact, but the Jordan
-    # ranks of the small eigenvalue of multiplicity 7 come out inconsistent;
-    # exact ranks of f(A)^k (Bareiss pivots) must turn this into a pass
-    triple = families.compatible_triple(np.random.default_rng(s), rank=15, kind="hyperbolic")
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("rank", [15, 17, 19, 21])
+def test_odd_rank_hyperbolic_block_map_has_jordan_data(rank, seed):
+    # verified hyperbolic block maps of odd rank: B + ... + B + [1] conjugated,
+    # B hyperbolic, so every eigenvalue is semisimple (the eigenvalues of B
+    # have multiplicity (rank - 1) / 2 each)
+    triple = families.compatible_triple(np.random.default_rng(seed), rank=rank, kind="hyperbolic")
     data = spectral_data(triple.auto.P)
-    assert sum(ev.multiplicity for ev in data.eigenvalues) == 15
+    assert sorted(ev.multiplicity for ev in data.eigenvalues) == [1] + [(rank - 1) // 2] * 2
+    assert all(ev.block_sizes == (1,) * ev.multiplicity for ev in data.eigenvalues)
+    assert data.s == 0
+
+
+# --- exact Jordan profiles ------------------------------------------------------
+
+I_ROT = [[0, -1], [1, 0]]  # companion of x^2 + 1
+GOLDEN = [[0, 1], [1, 1]]  # companion of x^2 - x - 1
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def jordan_sum(blocks):
+    """Direct sum of block Jordan blocks: (C, k) puts C k times on the
+    diagonal with identities above it, so each root of C's (square-free)
+    characteristic polynomial gets one Jordan block of size k."""
+    n = sum(len(C) * k for C, k in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for C, k in blocks:
+        d = len(C)
+        for b in range(k):
+            for i in range(d):
+                rows[at + i][at : at + d] = C[i]
+                if b + 1 < k:
+                    rows[at + i][at + d + i] = 1
+            at += d
+    return M(rows)
+
+
+def expected_profile(blocks):
+    """{root: sorted block sizes} of jordan_sum(blocks)."""
+    out = {}
+    for C, k in blocks:
+        roots = (1j, -1j) if C is I_ROT else (PHI, 1.0 - PHI) if C is GOLDEN else (C[0][0],)
+        for r in roots:
+            out.setdefault(complex(r), []).append(k)
+    return {r: tuple(sorted(ks, reverse=True)) for r, ks in out.items()}
+
+
+JORDAN_SUMS = [
+    # (blocks, s): s is one less than the largest block on the top circle
+    # J2(1)^2 + J2(2) + J1(2)^2: chi = (x^2 - 3x + 2)^4, one Yun factor whose
+    # roots have the profiles (2, 2) and (2, 1, 1)
+    ([([[1]], 2), ([[1]], 2), ([[2]], 2), ([[2]], 1), ([[2]], 1)], 1),
+    ([([[2]], 3), ([[2]], 1), ([[-1]], 2)], 2),
+    ([([[1]], 1), ([[1]], 1), ([[2]], 1), ([[2]], 3)], 2),  # (x-1)^2 (x-2)^4 after Yun
+    ([([[1]], 3), ([[-1]], 1), ([[-1]], 1), ([[-1]], 1)], 2),  # one factor x^2 - 1, mixed
+    ([([[0]], 2), ([[0]], 1), ([[1]], 1)], 0),
+    ([(I_ROT, 2), (I_ROT, 1)], 1),
+    ([(I_ROT, 1), (I_ROT, 1), (I_ROT, 1)], 0),
+    ([(I_ROT, 2), ([[1]], 1), ([[1]], 1)], 1),  # (x^2 + 1)(x - 1) squared, mixed
+    ([(I_ROT, 2), ([[-1]], 2), ([[2]], 1)], 0),
+    ([(GOLDEN, 3), (GOLDEN, 1), (GOLDEN, 1)], 2),
+    ([(GOLDEN, 2), (I_ROT, 2), ([[1]], 3)], 1),  # the 3-block of 1 is below the top
+    ([(GOLDEN, 1), (GOLDEN, 2), ([[-1]], 1), ([[-1]], 2)], 1),
+    ([(GOLDEN, 1), ([[-1]], 2), ([[-1]], 1)], 0),
+]
+
+
+@pytest.mark.parametrize("blocks, s", JORDAN_SUMS)
+def test_jordan_profiles_of_unimodular_conjugates_are_exact(blocks, s):
+    J = jordan_sum(blocks)
+    want = expected_profile(blocks)
+    rng = np.random.default_rng(len(blocks) * 7 + s)
+    for P in [IntMatrix.identity(J.dim)] + [random_unimodular(rng, J.dim) for _ in range(3)]:
+        data = spectral_data(P @ J @ inverse_unimodular(P))
+        got = {}
+        for ev in data.eigenvalues:
+            root = min(want, key=lambda r: abs(r - ev.value))
+            assert abs(root - ev.value) < 1e-9
+            assert root not in got
+            got[root] = ev.block_sizes
+            assert ev.multiplicity == sum(ev.block_sizes)
+        assert got == want
+        assert data.s == s
+
+
+def test_kernel_vectors_are_killed_exactly():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        r = int(rng.integers(0, n + 1))
+        B = rng.integers(-4, 5, size=(n, r)) @ rng.integers(-4, 5, size=(r, n))  # rank <= r
+        cols = B.T.tolist()
+        basis = lattice._kernel(cols)
+        assert len(basis) == n - np.linalg.matrix_rank(B)
+        for v in basis:
+            assert any(v)
+            assert [sum(col[i] * x for col, x in zip(cols, v)) for i in range(n)] == [0] * n
+    # entries far beyond float precision stay exact
+    big = 10**30
+    cols = [[big, 3 * big], [2 * big, 6 * big + 1], [3 * big, 9 * big + 1]]
+    (v,) = lattice._kernel(cols)
+    assert [sum(col[i] * x for col, x in zip(cols, v)) for i in range(2)] == [0, 0]
+
+
+def test_min_poly_failure_propagates_out_of_the_transfer(monkeypatch):
+    def broken(A):
+        raise ArithmeticError("Bareiss division was not exact")
+
+    monkeypatch.setattr(lattice, "min_poly", broken)
+    with pytest.raises(ArithmeticError):
+        min_poly_root_transfer(M([[2, 1], [1, 1]]), np.eye(2))
