@@ -9,14 +9,16 @@ window of the schedule; the window is returned so reports can document it.
 
 import numpy as np
 
+THIN_POINTS = 64  # Theil-Sen is quadratic in the points of its window
 
-def tail_indices(ns, fraction=8, min_points=3):
-    """Indices of the geometric tail {n >= n_max/fraction} of a sorted schedule."""
+
+def tail_indices(ns, fraction=8):
+    """Indices of the geometric tail {n >= n_max/fraction} of a sorted schedule, at least 3."""
     ns = np.asarray(ns, dtype=float)
     cut = ns[-1] / fraction
     idx = np.nonzero(ns >= cut)[0]
-    if len(idx) < min_points:
-        idx = np.arange(max(0, len(ns) - min_points), len(ns))
+    if len(idx) < 3:
+        idx = np.arange(max(0, len(ns) - 3), len(ns))
     return idx
 
 
@@ -86,15 +88,15 @@ def theil_sen_slope(xs, Y):
     return np.median(slopes, axis=1, overwrite_input=True)
 
 
-def _thin_logspaced(idx, ns, max_points=64):
-    """Subset of indices roughly uniform in log n (Theil-Sen is quadratic).
+def _thin_logspaced(idx, ns):
+    """Subset of indices roughly uniform in log n.
 
-    Each of max_points log-spaced targets picks its nearest sample, the lower
-    one on a tie."""
-    if len(idx) <= max_points:
+    Each of THIN_POINTS log-spaced targets picks its nearest sample, the
+    lower one on a tie."""
+    if len(idx) <= THIN_POINTS:
         return idx
     v = ns[idx]
-    targets = np.geomspace(v[0], v[-1], max_points)
+    targets = np.geomspace(v[0], v[-1], THIN_POINTS)
     hi = np.minimum(np.searchsorted(v, targets), len(v) - 1)
     lo = np.maximum(hi - 1, 0)
     pick = np.where(np.abs(v[lo] - targets) <= np.abs(v[hi] - targets), lo, hi)
@@ -124,7 +126,7 @@ def suffix_slopes(x, Y):
     return (suffix_sums(dx * dy) - sx * sy / npts) / (suffix_sums(dx * dx) - sx * sx / npts)
 
 
-def log_slope_fit(ns, Y, fraction=8):
+def log_slope_fit(ns, Y):
     """Slope of each row of Y against log n over the tail window (Theil-Sen).
 
     Used for polynomial rates, where least squares against log n is easily
@@ -134,7 +136,7 @@ def log_slope_fit(ns, Y, fraction=8):
     kept as a limsup-flavoured diagnostic (the Theil-Sen slope when there is
     no suffix).
     """
-    idx = _thin_logspaced(tail_indices(ns, fraction), ns)
+    idx = _thin_logspaced(tail_indices(ns), ns)
     x = np.log(ns[idx])
     Y = Y[:, idx]
     slopes = theil_sen_slope(x, Y)

@@ -61,11 +61,7 @@ def _parse_matrix_file(path):
         data = data["matrix"]
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("expected a JSON array of arrays of integers")
-    for row in data:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("matrix entry %s is not an integer" % json.dumps(x))
-    return IntMatrix(tuple(map(tuple, data)))
+    return IntMatrix(tuple(tuple(stability.json_int(x, "matrix") for x in row) for row in data))
 
 
 def _parse_triple_file(path, tol):
@@ -76,19 +72,12 @@ def _parse_triple_file(path, tol):
     g = cover.lift_from(gspec["m"], float(gspec["f0"]))
     images = None
     if "images" in data:
-        images = tuple(
-            stability.SemistableDatum(tuple(d["v"]), float(d["phase"]))
-            for d in data["images"]
-        )
+        images = tuple(stability.datum_from_json(d, "image") for d in data["images"])
     triple = stability.verify_triple(auto, sigma, g, tol=tol, images=images)
     seed = None
     if "seed" in data:
         seed = stability.HNObject(
-            tuple(
-                stability.SemistableDatum(tuple(d["v"]), float(d["phase"]))
-                for d in data["seed"]["factors"]
-            )
-        )
+            tuple(stability.datum_from_json(d, "seed") for d in data["seed"]["factors"]))
     return triple, seed
 
 

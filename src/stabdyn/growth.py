@@ -5,8 +5,10 @@ log-modulus of every factor's charge at every schedule point, and the phase
 of every factor, come from one vectorized call on the closed-form power
 record of g (cover.PowerRecord), so schedules reach n = 2^20 and beyond
 without overflow and without drift.  The stages of one public call share
-that record.  A MassStream keeps every fit of its log mass, so a t grid
-asked of one stream is fitted once, in one batch; nothing else is kept.
+that record.  Mass streams and Hom tables are both growth streams: a log row
+per weight t on a schedule, and one fits(ts) that fits the missing rows in
+one batch and keeps every fit, so a t grid asked of one stream is fitted
+once.
 
 Rate extraction runs in two stages.  The dense prefix 1..SEQ_PREFIX of the
 default schedule is scanned for exact linear-plus-periodic structure
@@ -40,6 +42,7 @@ from .lattice import spectral_data as _lattice_spectral_data
 SEQ_PREFIX = 512  # dense schedule prefix scanned for structure
 DETECT_MAX_PERIOD = 48
 DETECT_TOL = 1e-9
+DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,51 +58,6 @@ class GrowthReport(Report):
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class HomTable:
-    """dim Hom(G, Phi^n G'[k]) indexed by (n >= 1, k in Z), finite support."""
-
-    entries: dict
-    n_max: int = 0
-
-    def __post_init__(self):
-        cleaned = {}
-        by_row = {}
-        nmax = 0
-        for (n, k), dim in self.entries.items():
-            n = int(n)
-            k = int(k)
-            dim = int(dim)
-            if n < 1:
-                raise ValueError("table rows start at n = 1")
-            if dim < 0:
-                raise ValueError("dimensions are nonnegative")
-            if dim > 0:
-                cleaned[(n, k)] = dim
-                by_row.setdefault(n, {})[k] = dim
-                nmax = max(nmax, n)
-        if not cleaned:
-            raise EmptyTable("no nonzero table entries")
-        object.__setattr__(self, "entries", cleaned)
-        object.__setattr__(self, "_by_row", by_row)
-        object.__setattr__(self, "n_max", nmax if self.n_max == 0 else int(self.n_max))
-
-    def rows(self):
-        return sorted(self._by_row)
-
-    @functools.cached_property
-    def _weights(self):
-        """(first entry of each row, row of each entry, k, log dim), entries in row order."""
-        rows = [self._by_row[n] for n in self.rows()]
-        sizes = [len(row) for row in rows]
-        ks = np.fromiter((k for row in rows for k in row), np.int64)
-        log_dims = np.fromiter((math.log(d) for row in rows for d in row.values()), float)
-        return np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(rows)), sizes), ks, log_dims
-
-    def row(self, n):
-        return dict(self._by_row.get(n, {}))
-
-
 # ---------------------------------------------------------------------------
 # structure detection and rate fitting
 
@@ -111,7 +69,7 @@ def _consecutive_run(ns):
     return int(edges[k]), int(edges[k + 1])
 
 
-def _detect_linear_periodic(ns, rows, max_period=DETECT_MAX_PERIOD, tol=DETECT_TOL):
+def _detect_linear_periodic(ns, rows):
     """Per row, (rate, period) when y(n+q) - y(n) is constant on a consecutive window.
 
     Requires a consecutive integer block inside the schedule; a row gets None
@@ -121,20 +79,20 @@ def _detect_linear_periodic(ns, rows, max_period=DETECT_MAX_PERIOD, tol=DETECT_T
     the whole window until one passes.  Each rate is read off its row, so it
     keeps the row's type."""
     lo, hi = _consecutive_run(np.asarray(ns, dtype=float))
-    if hi - lo < 2 * max_period + 64:
+    if hi - lo < 2 * DETECT_MAX_PERIOD + 64:
         return [None] * len(rows)
     window = min(160, (hi - lo) // 2)
-    block = np.asarray(rows, dtype=float)[:, hi - window - max_period : hi]
-    now = block[:, max_period:]  # y(n) on the window
-    lags = sliding_window_view(block, window, axis=1)  # [r, max_period - q] = y(n - q)
+    block = np.asarray(rows, dtype=float)[:, hi - window - DETECT_MAX_PERIOD : hi]
+    now = block[:, DETECT_MAX_PERIOD:]  # y(n) on the window
+    lags = sliding_window_view(block, window, axis=1)  # [r, DETECT_MAX_PERIOD - q] = y(n - q)
     ref = now[:, -1:] - lags[:, -2::-1, -1]  # [r, q - 1]: y(n) - y(n - q) at the last point
-    bound = tol * np.maximum(1.0, np.abs(ref))
+    bound = DETECT_TOL * np.maximum(1.0, np.abs(ref))
     open_ = np.abs(now[:, :1] - lags[:, -2::-1, 0] - ref) <= bound
     periods = np.zeros(len(block), dtype=int)
     while open_.any():
         r = np.flatnonzero(open_.any(axis=1))
         q = np.argmax(open_[r], axis=1)
-        diffs = now[r] - lags[r, max_period - 1 - q]
+        diffs = now[r] - lags[r, DETECT_MAX_PERIOD - 1 - q]
         ok = np.all(np.abs(diffs - ref[r, q, None]) <= bound[r, q, None], axis=1)
         periods[r[ok]] = q[ok] + 1
         open_[r[ok]] = False
@@ -186,11 +144,6 @@ def _fit_streams(ns, Y):
     return out
 
 
-def _fit_stream(ns, ys):
-    """(exp_rate, poly_rate, diagnostics) for one growth stream: a batch of one."""
-    return _fit_streams(ns, [ys])[0]
-
-
 def _poly_rate_about(ns, Y, rates):
     """Theil-Sen log n slopes of the rows of Y after removing each row's linear
     rate; ns is a float array.  Returns log_slope_fit's (slopes, window, maxima)."""
@@ -211,7 +164,7 @@ def fit_growth_report(samples, closed_form=None):
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sample indices must be strictly increasing")
     ys = [v for _, v in pairs]
-    exp_rate, poly_rate, diag = _fit_stream(ns, ys)
+    exp_rate, poly_rate, diag = _fit_streams(ns, [ys])[0]
     return GrowthReport(
         samples=tuple(pairs),
         exp_rate=float(exp_rate),
@@ -233,19 +186,38 @@ def _default_schedule(n_max):
 
 
 # ---------------------------------------------------------------------------
-# mass streams
+# growth streams
 
 
-class MassStream:
+class _Stream:
+    """A log row on the schedule ns for every weight t, and the fits so far.
+
+    A subclass supplies ns, log_row(t) and _fits = {}; _grid holds the ts a
+    miss fits along."""
+
+    _grid = ()
+
+    def fits(self, ts):
+        """[(log_row(t), (exp_rate, poly_rate, diagnostics))] for each t of ts.
+        On a miss, every t of _grid and ts not fitted yet is fitted in one
+        _fit_streams batch and kept; the fit stages are row-wise, so a row's
+        fit does not depend on its batch."""
+        ts = [float(t) for t in ts]
+        todo = [t for t in dict.fromkeys(self._grid + tuple(ts)) if t not in self._fits]
+        if any(t in todo for t in ts):
+            rows = [self.log_row(t) for t in todo]
+            self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, rows))))
+        return [self._fits[t] for t in ts]
+
+
+class MassStream(_Stream):
     """Per-factor log-moduli and phases of the iterated seed object, and its fits so far."""
 
-    def __init__(self, triple, seed, n_max=4096, schedule=None):
-        self._fill(triple, seed, n_max, schedule, None)
+    _grid = DEFAULT_T_GRID  # callers ask for one t at a time; the grid is one batch
 
-    def _fill(self, triple, seed, n_max, schedule, record):
+    def __init__(self, triple, seed, n_max=4096, schedule=None):
         triple.require_verified()
         self.triple = triple
-        self.seed = seed
         if schedule is None:
             ns = default_schedule(n_max)
         else:
@@ -263,9 +235,9 @@ class MassStream:
             phases.append(d.phase)
         if not charges:
             raise ValueError("seed has no factors with nonzero charge")
-        self.record = record = record or cover.power_record(triple.g)
+        self.record = cover.power_record(triple.g)
         w = np.array(charges)
-        self.logs, self.phis = record.log_charge_and_phase(
+        self.logs, self.phis = self.record.log_charge_and_phase(
             w[:, :1], w[:, 1:], np.array(phases)[:, None], np.array(ns)[None, :])
         self._fits = {}
 
@@ -275,22 +247,52 @@ class MassStream:
         top = np.max(x, axis=0)
         return top + np.log(np.sum(np.exp(x - top[None, :]), axis=0))
 
-    def fits(self, ts):
-        """[(log_mass(t), (exp_rate, poly_rate, diagnostics))] for each t of ts.
-        On a miss, every t of DEFAULT_T_GRID and ts not fitted yet is fitted
-        in one _fit_streams batch and kept; the fit stages are row-wise, so a
-        row's fit does not depend on its batch."""
-        ts = [float(t) for t in ts]
-        todo = [t for t in dict.fromkeys(DEFAULT_T_GRID + tuple(ts)) if t not in self._fits]
-        if any(t in todo for t in ts):
-            rows = [self.log_mass(t) for t in todo]
-            self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, np.array(rows)))))
-        return [self._fits[t] for t in ts]
+    log_row = log_mass
 
 
-def mass_growth(triple, seed, t=0.0, n_max=4096, schedule=None, stream=None):
+@dataclass(frozen=True)
+class HomTable(_Stream):
+    """dim Hom(G, Phi^n G'[k]) indexed by (n >= 1, k in Z), finite support.
+
+    A growth stream on its rows ns: the log row of a weight t is each row's
+    log sum of dim e^(-k t)."""
+
+    entries: dict
+
+    def __post_init__(self):
+        cleaned = {}
+        for (n, k), dim in self.entries.items():
+            n, k, dim = int(n), int(k), int(dim)
+            if n < 1:
+                raise ValueError("table rows start at n = 1")
+            if dim < 0:
+                raise ValueError("dimensions are nonnegative")
+            if dim > 0:
+                cleaned[(n, k)] = dim
+        if not cleaned:
+            raise EmptyTable("no nonzero table entries")
+        # entries by row, in insertion order within a row (a stable sort)
+        order = sorted(cleaned, key=lambda nk: nk[0])
+        n_of = np.fromiter((n for n, _ in order), np.int64, len(order))
+        new_row = np.diff(n_of, prepend=0) != 0
+        starts = np.flatnonzero(new_row)
+        self.__dict__.update(
+            entries=cleaned, ns=n_of[starts].tolist(), _fits={}, _starts=starts,
+            _row_of=np.cumsum(new_row) - 1,
+            _ks=np.fromiter((k for _, k in order), np.int64, len(order)),
+            _log_dims=np.fromiter((math.log(cleaned[nk]) for nk in order), float, len(order)))
+
+    def log_row(self, t=0.0):
+        """The log of each row's sum of dim e^(-k t) (a log-sum-exp), as floats."""
+        vals = self._log_dims - self._ks * t
+        top = np.maximum.reduceat(vals, self._starts)
+        sums = np.add.reduceat(np.exp(vals - top[self._row_of]), self._starts)
+        return (top + np.log(sums)).tolist()
+
+
+def mass_growth(triple, seed, t=0.0, n_max=4096, stream=None):
     """Exponential rate of log mass along the iteration."""
-    stream = stream or MassStream(triple, seed, n_max=n_max, schedule=schedule)
+    stream = stream or MassStream(triple, seed, n_max=n_max)
     ((ys, (exp_rate, poly_rate, diag)),) = stream.fits([t])
     record = stream.record if stream.triple is triple else cover.power_record(triple.g)
     closed = (record.log_rho, float(record.jordan)) if triple.spanning else None
@@ -303,21 +305,20 @@ def mass_growth(triple, seed, t=0.0, n_max=4096, schedule=None, stream=None):
     )
 
 
-def pol_mass_growth(triple, seed, t=0.0, n_max=2**20, schedule=None, stream=None):
+def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
     """Log n rate of log mass after removing the linear term.
 
     The linear term is the closed-form log rho(M_g) when the image spans
     (flagged in the diagnostics), otherwise the fitted rate.
     """
-    stream = stream or MassStream(triple, seed, n_max=n_max, schedule=schedule)
+    stream = MassStream(triple, seed, n_max=n_max)
     ys = stream.log_mass(t)
     ns = np.asarray(stream.ns, dtype=float)
-    exp_rate, _, diag = _fit_stream(ns, ys)
+    exp_rate, _, diag = _fit_streams(ns, [ys])[0]
     closed = None
     if triple.spanning and t == 0.0:
-        record = cover.power_record(triple.g)
-        closed = (record.log_rho, float(record.jordan))
-        rate_used = record.log_rho
+        closed = (stream.record.log_rho, float(stream.record.jordan))
+        rate_used = stream.record.log_rho
         source = "closed_form"
     else:
         rate_used = exp_rate
@@ -433,21 +434,11 @@ def _pol_shifts(record, seed, n_max):
 # Hom-table estimators
 
 
-def _table_log_eps(table, t):
-    """The rows and the log of each row's sum of dim e^(-k t) (a log-sum-exp)."""
-    starts, row_of, ks, log_dims = table._weights
-    vals = log_dims - ks * t
-    top = np.maximum.reduceat(vals, starts)
-    sums = np.add.reduceat(np.exp(vals - top[row_of]), starts)
-    return table.rows(), (top + np.log(sums)).tolist()
-
-
 def entropy_from_hom(table, t=0.0):
     """Growth rate of the weighted Hom sums along the table rows."""
-    ns, ys = _table_log_eps(table, t)
-    exp_rate, poly_rate, diag = _fit_stream(ns, ys)
+    ((ys, (exp_rate, poly_rate, diag)),) = table.fits([t])
     return GrowthReport(
-        samples=tuple(zip(ns, ys)),
+        samples=tuple(zip(table.ns, ys)),
         exp_rate=float(exp_rate),
         poly_rate=float(poly_rate),
         diagnostics=dict(diag, t=t),
@@ -483,10 +474,9 @@ def epsilon_bounds_from_hom(table):
     is nonzero, so the upper extremal degree for row n is -min k and the
     lower one is -max k.
     """
-    ns = table.rows()
-    starts, _, ks, _ = table._weights
-    eps_plus = (-np.minimum.reduceat(ks, starts)).tolist()
-    eps_minus = (-np.maximum.reduceat(ks, starts)).tolist()
+    ns = table.ns
+    eps_plus = (-np.minimum.reduceat(table._ks, table._starts)).tolist()
+    eps_minus = (-np.maximum.reduceat(table._ks, table._starts)).tolist()
     nu_up, nu_lo = theil_sen_slope(ns, [eps_plus, eps_minus]) if len(ns) > 1 else (0.0, 0.0)
     return EpsilonBounds(
         ns=tuple(ns),
@@ -518,15 +508,18 @@ class InequalityReport(Report):
     values: dict
 
 
-DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+def _grid_rates(triple, seed, t_grid, n_max):
+    """(the t grid with 0 added, sorted; {t: (h_t, its polynomial rate)}, the
+    power record of g): one mass stream, one batched fit."""
+    stream = MassStream(triple, seed, n_max=n_max)
+    t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
+    rates = {t: (float(e), float(p)) for t, (_, (e, p, _)) in zip(t_grid, stream.fits(t_grid))}
+    return t_grid, rates, stream.record
 
 
-def _mass_rates(record, triple, seed, t_grid, n_max):
-    """{t: (h_{sigma,t}, its polynomial rate, diagnostics)}: one stream, one batched fit."""
-    stream = MassStream.__new__(MassStream)
-    stream._fill(triple, seed, n_max, None, record)
-    fits = stream.fits(t_grid)
-    return {t: (float(e), float(p), diag) for t, (_, (e, p, diag)) in zip(t_grid, fits)}
+def _table_rates(table, t_grid):
+    """{t: exp_rate of the weighted Hom sums} for the grid: one batched fit."""
+    return {t: float(e) for t, (_, (e, _, _)) in zip(t_grid, table.fits(t_grid))}
 
 
 def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096, tol=5e-2):
@@ -535,14 +528,10 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     These are theorems for verified triples: a failure beyond tolerance
     indicates an implementation bug, never new mathematics.
     """
-    triple.require_verified()
-    t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
-    n_shift = max(n_max, 2**14)
-    record = cover.power_record(triple.g)
-    rates = _mass_rates(record, triple, seed, t_grid, n_max)
+    t_grid, rates, record = _grid_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts, pol_shifts = _pol_shifts(record, seed, n_shift)
+    shifts, pol_shifts = _pol_shifts(record, seed, max(n_max, 2**14))
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -599,14 +588,12 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     }
 
     if hom_table is not None:
-        h_cat = entropy_from_hom(hom_table, 0.0).exp_rate
+        ents = _table_rates(hom_table, t_grid)
         for t in t_grid:
-            ent = entropy_from_hom(hom_table, t)
-            h_t = rates[t][0]
-            add("mass_le_entropy", t, h_t, ent.exp_rate)
+            add("mass_le_entropy", t, rates[t][0], ents[t])
             if t >= 0.0:
-                add("shift_t_le_entropy", t, nu_up * t, ent.exp_rate)
-                add("entropy_le_hcat_plus_shift_t", t, ent.exp_rate, h_cat + nu_up * t)
+                add("shift_t_le_entropy", t, nu_up * t, ents[t])
+                add("entropy_le_hcat_plus_shift_t", t, ents[t], ents[0.0] + nu_up * t)
 
     return InequalityReport(
         rows=tuple(rows),
@@ -628,19 +615,15 @@ class LinearityReport(Report):
 
 def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=None):
     """Affinity of the mass growth in t against the shifting-number line."""
-    triple.require_verified()
-    t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
-    n_shift = max(n_max, 2**14)
-    record = cover.power_record(triple.g)
-    rates = _mass_rates(record, triple, seed, t_grid, n_max)
+    t_grid, rates, record = _grid_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
-    nu = _shifts(record, seed, n_shift)[0].nu_upper
+    nu = _shifts(record, seed, max(n_max, 2**14))[0].nu_upper
     fitted = tuple(rates[t][0] for t in t_grid)
     deviations = [abs(h - (h_sigma + nu * t)) for t, h in zip(t_grid, fitted)]
     ent = None
     gap = None
     if hom_table is not None:
-        ent = tuple(entropy_from_hom(hom_table, t).exp_rate for t in t_grid)
+        ent = tuple(_table_rates(hom_table, t_grid).values())
         gap = max(abs(e - h) for e, h in zip(ent, fitted))
     return LinearityReport(
         t_grid=t_grid,

@@ -9,6 +9,7 @@ cover element is decided by three finite checks: the charge intertwine, phase
 transport of every listed semistable, and the heart-window criterion.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ class StabilityData:
                 )
         if self.support_C is not None:
             C = float(self.support_C)
-            if C <= 0:
-                raise ValueError("support constant must be positive")
+            if not 0.0 < C < math.inf:
+                raise ValueError("support constant C = %r must be finite and positive" % C)
             for d in sems:
                 z = abs(charge_of(self.Z, d.v))
                 if self._class_norm(d.v) > C * z + 1e-12:
@@ -165,17 +166,34 @@ class StabilityData:
         return out
 
 
+def json_int(x, what):
+    """x when it is a JSON integer; a float or a boolean is an input error."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError("%s entry %s is not an integer" % (what, json.dumps(x)))
+    return x
+
+
+def _json_flag(obj, key):
+    flag = obj.get(key, False)
+    if not isinstance(flag, bool):
+        raise ValueError("%s = %s is not a JSON boolean" % (key, json.dumps(flag)))
+    return flag
+
+
+def datum_from_json(d, what):
+    return SemistableDatum(tuple(json_int(x, what + " v") for x in d["v"]), d["phase"])
+
+
 def stability_from_json(obj):
     Z = CentralCharge(tuple(map(tuple, obj["Z"])))
     if "rank" in obj and int(obj["rank"]) != Z.rank:
         raise DimensionMismatch("declared rank does not match the charge matrix")
-    sems = tuple(SemistableDatum(tuple(d["v"]), d["phase"]) for d in obj["semistables"])
     return StabilityData(
         Z=Z,
-        semistables=sems,
+        semistables=tuple(datum_from_json(d, "semistable") for d in obj["semistables"]),
         support_C=obj.get("C"),
         norm=obj.get("norm", "max"),
-        weak=bool(obj.get("weak", False)),
+        weak=_json_flag(obj, "weak"),
     )
 
 
@@ -249,9 +267,9 @@ class AutoequivalenceData:
 
 def auto_from_json(obj):
     return AutoequivalenceData(
-        P=IntMatrix(tuple(map(tuple, obj["p"]))),
+        P=IntMatrix(tuple(tuple(json_int(x, "auto.p") for x in row) for row in obj["p"])),
         label=obj.get("label", ""),
-        allow_nonunimodular=bool(obj.get("allow_nonunimodular", False)),
+        allow_nonunimodular=_json_flag(obj, "allow_nonunimodular"),
     )
 
 

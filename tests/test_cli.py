@@ -323,6 +323,53 @@ def test_non_finite_cover_element_is_input_error(tmp_path, capsys, sub, field, v
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("sigma", "weak"), "no", 'weak = "no" is not a JSON boolean'),
+        (("sigma", "weak"), 1, "weak = 1 is not a JSON boolean"),
+        (("auto", "allow_nonunimodular"), "yes", 'allow_nonunimodular = "yes" is not a JSON boolean'),
+        (("auto", "allow_nonunimodular"), 0, "allow_nonunimodular = 0 is not a JSON boolean"),
+        (("sigma", "C"), float("nan"), "support constant C = nan must be finite and positive"),
+        (("sigma", "C"), math.inf, "support constant C = inf must be finite and positive"),
+        (("sigma", "C"), 0, "support constant C = 0.0 must be finite and positive"),
+        (("sigma", "C"), -2.0, "support constant C = -2.0 must be finite and positive"),
+        (("auto", "p"), [[2.5, 1], [1, 1]], "auto.p entry 2.5 is not an integer"),
+        (("auto", "p"), [[2, True], [1, 1]], "auto.p entry true is not an integer"),
+        (("sigma", "semistables", 0, "v"), [1.5, 0], "semistable v entry 1.5 is not an integer"),
+        (("sigma", "semistables", 2, "v"), [1, 1.0], "semistable v entry 1.0 is not an integer"),
+        (("seed",), {"factors": [{"v": [1.5, 0], "phase": 0.0}]},
+         "seed v entry 1.5 is not an integer"),
+        (("images",), [{"v": [2, "1"], "phase": 0.1}], 'image v entry "1" is not an integer'),
+    ],
+)
+@pytest.mark.parametrize("sub", ["check-triple", "growth", "translation"])
+def test_bad_triple_data_is_input_error(tmp_path, capsys, sub, where, value, message):
+    # flags must be JSON booleans, C finite and positive, lattice data integers
+    payload = hyperbolic_triple_payload()
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = write(tmp_path / "t.json", payload)
+    assert main([sub, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_json_boolean_flags_and_a_finite_support_constant_are_accepted(tmp_path, capsys):
+    payload = hyperbolic_triple_payload()
+    payload["sigma"].update(weak=False, C=2.0)
+    payload["auto"]["allow_nonunimodular"] = False
+    payload["seed"] = {"factors": [{"v": [0, 1], "phase": 0.5}, {"v": [1, 0], "phase": 0.0}]}
+    path = write(tmp_path / "t.json", payload)
+    assert main(["check-triple", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["sigma"]["C"] == 2.0 and out["sigma"]["weak"] is False
+    assert main(["growth", path, "--n-max", "64", "--format", "text"]) == 0
+
+
 def test_huge_finite_matrix_is_input_error_without_warnings(tmp_path):
     # a cold process, so a numpy RuntimeWarning would reach stderr
     payload = hyperbolic_triple_payload()

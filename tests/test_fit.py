@@ -21,7 +21,6 @@ from stabdyn._fit import (
 from stabdyn.growth import (
     DEFAULT_T_GRID,
     MassStream,
-    _fit_stream,
     _fit_streams,
     default_schedule,
 )
@@ -156,7 +155,7 @@ def test_batched_fit_equals_each_row_alone(n_max):
     structures = {diag["structure"] for _, _, diag in batch}
     assert structures == {"linear_plus_periodic", "fit"}
     for row, got in zip(Y, batch):
-        want = _fit_stream(ns, row)
+        want = _fit_streams(ns, [row])[0]
         assert repr(got) == repr(want)
     # a list-of-lists batch reads its periodic numbers as Python floats
     listed = _fit_streams(ns.astype(int).tolist(), Y.tolist())

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -646,7 +645,7 @@ def test_mass_growth_through_a_shared_stream_equals_a_private_stream():
             assert repr(shared) == repr(mass_growth(t, seed, t=x, n_max=4096))
             row = stream.log_mass(x)
             assert [v for _, v in shared.samples] == row.tolist()
-            want = growth._fit_stream(stream.ns, row)
+            want = growth._fit_streams(stream.ns, [row])[0]
             assert repr((shared.exp_rate, shared.poly_rate)) == repr((float(want[0]), float(want[1])))
             assert repr(shared.diagnostics) == repr(dict(want[2], t=x))
 
@@ -679,14 +678,70 @@ def test_a_stream_fits_its_grid_in_one_batch_and_keeps_the_fits(monkeypatch):
     assert len(batches) == 3
 
 
+def _counting_fits(monkeypatch):
+    """A list that gets (len(ns), rows) of every _fit_streams batch from now on."""
+    batches = []
+    fit = growth._fit_streams
+
+    def counting(ns, Y):
+        batches.append((len(ns), len(Y)))
+        return fit(ns, Y)
+
+    monkeypatch.setattr(growth, "_fit_streams", counting)
+    return batches
+
+
+def test_a_table_fits_only_the_asked_ts_and_a_mass_stream_the_grid_along(monkeypatch):
+    batches = _counting_fits(monkeypatch)
+    table = p1_table(1024)
+    assert len(table.fits([0.25, 1.0])) == 2
+    assert batches == [(1024, 2)]  # no grid along
+    entropy_from_hom(table, 1.0)
+    rep = entropy_from_hom(table, 0)
+    assert pol_entropy_from_hom(table).poly_rate == rep.poly_rate
+    assert batches == [(1024, 2), (1024, 1)]  # 1.0 is kept; 0 is fitted once for both reports
+    assert table.fits([0.0, 0.25, 3.0])[:2] == table.fits([0.0, 0.25])
+    assert batches[2:] == [(1024, 1)]  # only 3.0 is new
+    t = hyperbolic_triple()
+    stream = MassStream(t, seed_of(t), n_max=4096)
+    stream.fits([0.25])
+    assert batches[3:] == [(len(stream.ns), len(DEFAULT_T_GRID) + 1)]
+
+
+@pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, (0.25, -1.0)], ids=["grid7", "grid2"])
+def test_a_table_grid_is_fitted_in_one_batch(monkeypatch, t_grid):
+    # with a table, the mass stream and the table each fit the grid in one
+    # batch (the parent ran 9 and 8 batches on the default grid), and every
+    # entropy is that of entropy_from_hom on a fresh table
+    grid = sorted(set(t_grid) | {0.0})
+    sizes = [len(set(grid) | set(DEFAULT_T_GRID)), len(grid)]
+    want = [entropy_from_hom(p1_table(2048), x).exp_rate for x in grid]
+    rng = np.random.default_rng(107)
+    triples = [curve_triple(1, m=0), families.compatible_triple(rng, rank=2, kind="parabolic")]
+    batches = _counting_fits(monkeypatch)
+    for t in triples:
+        batches.clear()
+        rep = yomdin_suite(t, seed_of(t), hom_table=p1_table(2048), t_grid=t_grid)
+        assert [k for _, k in batches] == sizes
+        assert [r.rhs for r in rep.rows if r.name == "mass_le_entropy"] == want
+        assert [r.name for r in rep.rows].count("entropy_le_hcat_plus_shift_t") == sum(
+            x >= 0.0 for x in grid)
+        batches.clear()
+        lin = linearity_check(t, seed_of(t), hom_table=p1_table(2048), t_grid=t_grid)
+        assert [k for _, k in batches] == sizes
+        assert lin.entropy_rates == tuple(want)
+
+
 def _row_loop_log_eps(table, t):
-    """The former per-row loop of growth._table_log_eps, kept as a reference."""
-    ns = table.rows()
+    """The former per-row loop of the table's log sums, rebuilt from its entries."""
+    rows = {}
+    for (n, k), d in table.entries.items():
+        rows.setdefault(n, []).append(math.log(d) - k * t)
+    ns = sorted(rows)
     ys = []
     for n in ns:
-        vals = [math.log(d) - k * t for k, d in table.row(n).items()]
-        top = max(vals)
-        ys.append(top + math.log(sum(math.exp(v - top) for v in vals)))
+        top = max(rows[n])
+        ys.append(top + math.log(sum(math.exp(v - top) for v in rows[n])))
     return ns, ys
 
 
@@ -697,43 +752,44 @@ def test_table_log_eps_matches_the_row_loop():
     multi = []
     for _ in range(4):
         entries = {}
-        for n in range(1, 300):
+        for n in rng.permutation(np.arange(1, 300)).tolist():  # rows out of order
             for k in rng.choice(np.arange(-6, 7), size=rng.integers(1, 12), replace=False):
                 entries[(n, int(k))] = int(rng.integers(1, 10**6))
         multi.append(HomTable(entries))
     for t in DEFAULT_T_GRID + (0.25,):
         for table in single:  # one entry per row: bit-identical, Python floats
-            ns, ys = growth._table_log_eps(table, t)
-            assert (ns, ys) == _row_loop_log_eps(table, t)
+            ys = table.log_row(t)
+            assert (table.ns, ys) == _row_loop_log_eps(table, t)
             assert all(type(y) is float for y in ys)
         for table in multi:  # summation order may move the last bit
-            ns, ys = growth._table_log_eps(table, t)
             want_ns, want = _row_loop_log_eps(table, t)
-            assert ns == want_ns
-            assert ys == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert table.ns == want_ns
+            assert table.log_row(t) == pytest.approx(want, rel=1e-15, abs=1e-15)
     for table in single[1:] + multi:  # the extremal shifts read the same arrays
         eb = epsilon_bounds_from_hom(table)
-        ks = [sorted(table.row(n)) for n in table.rows()]
-        assert eb.eps_plus == tuple(-k[0] for k in ks)
-        assert eb.eps_minus == tuple(-k[-1] for k in ks)
+        rows = {}
+        for n, k in table.entries:
+            rows.setdefault(n, []).append(k)
+        assert eb.ns == tuple(sorted(rows))
+        assert eb.eps_plus == tuple(-min(rows[n]) for n in eb.ns)
+        assert eb.eps_minus == tuple(-max(rows[n]) for n in eb.ns)
 
 
 def test_curve_scenario_builds_the_table_arrays_once(monkeypatch):
     builds = []
-    weights = HomTable._weights.func
+    post_init = HomTable.__post_init__
 
     def counting(self):
-        builds.append(self.n_max)
-        return weights(self)
+        builds.append(len(self.entries))
+        post_init(self)
 
-    counting.__name__ = "_weights"
-    prop = functools.cached_property(counting)
-    prop.__set_name__(HomTable, "_weights")
-    monkeypatch.setattr(HomTable, "_weights", prop)
+    monkeypatch.setattr(HomTable, "__post_init__", counting)
+    batches = _counting_fits(monkeypatch)
     scenarios._p1_entropy_reports.cache_clear()  # an earlier call may hold the reports
     scenarios.curve_scenario()
     scenarios.curve_scenario()
     assert builds == [4096]  # the table's reports are shared per n_max: one build for both calls
+    assert [b for b in batches if b[0] == 4096] == [(4096, 1)]  # both reports read one fit
 
 
 def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):
