@@ -48,7 +48,7 @@ print("  f(0.25) =", evaluate(h, 0.25), "(attracted toward 0)")
 print("  translation number:", translation_number(h, 1024))
 print("  after a deck shift:", translation_number(compose(from_complex(1.0), h), 1024))
 
-# power uses the direct matrix power and re-lifts the base value
+# power reads the matrix and the lift of g^n off the closed-form power record
 q = power(from_complex(0.5), 4)
 print("\nquarter rotation to the fourth: f0 =", q.f0, "(a full deck shift)")
 e = compose(h, inverse(h))

@@ -61,7 +61,7 @@ print(csv_rows(rep.samples[:4]))
 n = 16
 alpha = complex(-cover.power(g, n).f0, 0.0)
 print("A at the recentering twist: %.4f (< 1)"
-      % A_functional(g, n, alpha, phases=sigma.phases(), grid=True))
+      % A_functional(g, n, alpha, phases=sigma.phases()))
 print("B, operator norm: %.4f   B, charge-set norm: %.4f"
       % (B_functional(g, n, 0.0),
          B_functional(g, n, 0.0, S=[(z.real, z.imag) for z in sigma.charges()])))

@@ -146,10 +146,10 @@ def log_slope_fit(ns, Y):
     return slopes.tolist(), (float(ns[idx[0]]), float(ns[idx[-1]])), max_slopes.tolist()
 
 
-def geometric_schedule(n_max, points_per_octave=4, n_min=1):
-    """Sorted integer schedule ~ uniformly spaced in log n up to n_max."""
-    if n_max < n_min:
-        raise ValueError("n_max below n_min")
+def geometric_schedule(n_max, points_per_octave=4):
+    """Sorted integer schedule ~ uniformly spaced in log n from 1 to n_max."""
+    if n_max < 1:
+        raise ValueError("n_max below 1")
     out = set()
     k = 0
     while True:
@@ -158,13 +158,13 @@ def geometric_schedule(n_max, points_per_octave=4, n_min=1):
             break
         for j in range(points_per_octave):
             n = int(round(base * 2.0 ** (j / points_per_octave)))
-            if n_min <= n <= n_max:
+            if n <= n_max:
                 out.add(n)
         k += 1
     out.add(int(n_max))
     return sorted(out)
 
 
-def linear_schedule(n_max, count=64, n_min=1):
-    ns = np.unique(np.linspace(n_min, n_max, min(count, n_max - n_min + 1)).astype(int))
-    return [int(n) for n in ns if n >= n_min]
+def linear_schedule(n_max):
+    """Up to 64 integers evenly spaced from 1 to n_max."""
+    return np.unique(np.linspace(1, n_max, min(64, n_max)).astype(int)).tolist()

@@ -69,7 +69,8 @@ def _parse_triple_file(path, tol):
     sigma = stability.stability_from_json(data["sigma"])
     auto = stability.auto_from_json(data["auto"])
     gspec = data["g"]
-    g = cover.lift_from(gspec["m"], float(gspec["f0"]))
+    m = [[stability.json_number(x, "g.m") for x in row] for row in gspec["m"]]
+    g = cover.lift_from(m, stability.json_number(gspec["f0"], "g.f0"))
     images = None
     if "images" in data:
         images = tuple(stability.datum_from_json(d, "image") for d in data["images"])
@@ -295,7 +296,10 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        print("input error: missing key %s" % json.dumps(str(exc.args[0])), file=sys.stderr)
+        return EXIT_INPUT
+    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except StabDynError as exc:

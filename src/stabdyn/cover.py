@@ -12,8 +12,7 @@ unique mod-2 representative of the principal-angle difference lying in [0,1).
 
 Powers g^n come in closed form from one PowerRecord built from g (Putzer's
 formula for 2x2 matrices): phases, log charges and spectral norms of g^n for
-any n, elementwise over numpy arrays.  orbit and power keep the sequential
-walk, the reference the closed form is tested against.
+any n, elementwise over numpy arrays, and power(g, n) itself.
 """
 
 import math
@@ -22,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import Report
-from .errors import InvalidLift, NonPositiveDeterminant, SingularMatrix
+from .errors import InvalidLift, NonPositiveDeterminant, PowerOverflow, SingularMatrix
 
 LIFT_TOL = 1e-9
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _principal_phase(x, y):
@@ -48,27 +48,16 @@ def _base_phase(m):
     return _principal_phase(m[0][0], m[1][0])
 
 
-def _walk(m, f0, phi, n, out=None):
-    """f^n(phi) for the closed-form continuous lift (m, f0), m a 2x2 nested
-    sequence; each iterate is appended to out when given.  The base phase is
-    computed once for all n steps."""
-    (a, b), (c, d) = m
-    theta0 = _base_phase(m)
-    for _ in range(n):
-        k = math.floor(phi)
-        cs, sn = _cossin_pi(phi - k)
-        inc = (math.atan2(c * cs + d * sn, a * cs + b * sn) / math.pi - theta0) % 2.0
-        if inc > 1.5:  # wobble just below 0 wrapped around
-            inc -= 2.0
-        phi = f0 + k + (0.0 if inc < 0.0 else inc)
-        if out is not None:
-            out.append(phi)
-    return phi
-
-
 def _lift_eval(m, f0, phi):
-    """One step of the lift (m, f0) at phi."""
-    return _walk(m, f0, phi, 1)
+    """f(phi) for the closed-form continuous lift (m, f0), m a 2x2 nested
+    sequence."""
+    (a, b), (c, d) = m
+    k = math.floor(phi)
+    cs, sn = _cossin_pi(phi - k)
+    inc = (math.atan2(c * cs + d * sn, a * cs + b * sn) / math.pi - _base_phase(m)) % 2.0
+    if inc > 1.5:  # wobble just below 0 wrapped around
+        inc -= 2.0
+    return f0 + k + (0.0 if inc < 0.0 else inc)
 
 
 @dataclass(frozen=True)
@@ -146,13 +135,6 @@ def evaluate(g, phi):
     return _lift_eval(g.m, g.f0, float(phi))
 
 
-def orbit(g, phi, n):
-    """[phi, f(phi), ..., f^n(phi)] in one _walk."""
-    out = [float(phi)]
-    _walk(g.m, g.f0, out[0], n, out)
-    return out
-
-
 def compose(g1, g2):
     """Group law: matrices multiply, lifts compose (f = f1 o f2)."""
     m = tuple(map(tuple, (g1.matrix @ g2.matrix).tolist()))
@@ -173,19 +155,21 @@ def inverse(g):
 
 
 def power(g, n):
-    """g^n with the lift re-derived by path continuation in n.
-
-    The matrix part is the direct matrix power; f0 of g^n is f_g iterated n
-    times at 0, which keeps the deck count exact instead of compounding
-    composition error.
-    """
+    """g^n from power_record(g): f0 is its phase at 0, and the columns of the
+    matrix part are e^(log c_n) (alpha_n I + beta_n (m - mu I)) applied to e1
+    and e2.  PowerOverflow when an entry may leave the float range."""
     n = int(n)
     if n == 0:
         return identity_elem()
     if n < 0:
         return power(inverse(g), -n)
-    Mn = np.linalg.matrix_power(g.matrix, n)
-    return GL2TildeElem(m=tuple(map(tuple, Mn.tolist())), f0=_walk(g.m, g.f0, g.f0, n - 1))
+    record, k = power_record(g), np.asarray(n, dtype=np.int64)
+    log_c, X, Y = record._apply(np.array([1.0, 0.0]), np.array([0.0, 1.0]), k, record._coeffs(k))
+    # decided in log scale, so neither e^(log c_n) nor the product overflows
+    if np.max(log_c + np.log(np.maximum(1.0, np.maximum(abs(X), abs(Y))))) > _LOG_MAX:
+        raise PowerOverflow("an entry of M^%d leaves the float range" % n)
+    Mn = np.exp(log_c) * np.array([X, Y])
+    return GL2TildeElem(m=tuple(map(tuple, Mn.tolist())), f0=record.phase(0.0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +386,7 @@ def power_phase(record, phi, n):
 # translation number and conjugacy classification
 
 
-def translation_number(g, n_max=4096, details=False):
+def translation_number(g, n_max=4096):
     """Estimate of lim f^n(0)/n with two-scale averaging.
 
     The tail difference (f^n(0) - f^{n/2}(0)) / (n/2) cancels the bounded
@@ -414,16 +398,7 @@ def translation_number(g, n_max=4096, details=False):
         raise ValueError("n_max must be at least 16")
     half = n_max // 2
     phi_half, phi_full = power_record(g).phase(0.0, [half, n_max]).tolist()
-    estimate = (phi_full - phi_half) / (n_max - half)
-    if not details:
-        return estimate
-    crude = phi_full / n_max
-    return {
-        "estimate": estimate,
-        "crude": crude,
-        "last_increment": estimate - crude,
-        "n_max": n_max,
-    }
+    return (phi_full - phi_half) / (n_max - half)
 
 
 @dataclass(frozen=True)
@@ -487,7 +462,6 @@ __all__ = [
     "inverse",
     "power",
     "translation_number",
-    "orbit",
     "classify",
     "PowerRecord",
     "power_record",

@@ -36,6 +36,10 @@ class SingularMatrix(StabDynError):
     pass
 
 
+class PowerOverflow(StabDynError):
+    """An entry of a requested power of a cover element leaves the float range."""
+
+
 class UnverifiedTriple(StabDynError):
     """Operation requires a triple whose verification succeeded."""
 

@@ -295,9 +295,10 @@ def mass_growth(triple, seed, t=0.0, n_max=4096, stream=None):
     stream = stream or MassStream(triple, seed, n_max=n_max)
     ((ys, (exp_rate, poly_rate, diag)),) = stream.fits([t])
     record = stream.record if stream.triple is triple else cover.power_record(triple.g)
-    closed = (record.log_rho, float(record.jordan)) if triple.spanning else None
+    # every factor's phase drifts by tau per step, so h_t = log rho + t tau
+    closed = (record.log_rho + t * record.tau, float(record.jordan)) if triple.spanning else None
     return GrowthReport(
-        samples=tuple(zip(stream.ns, ys)),
+        samples=tuple(zip(stream.ns, ys.tolist())),
         exp_rate=float(exp_rate),
         poly_rate=float(poly_rate),
         closed_form=closed,
@@ -329,7 +330,7 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
     else:
         (poly,), window, (max_slope,) = _poly_rate_about(ns, ys[None], [rate_used])
     return GrowthReport(
-        samples=tuple(zip(stream.ns, ys)),
+        samples=tuple(zip(stream.ns, ys.tolist())),
         exp_rate=float(exp_rate),
         poly_rate=float(poly),
         closed_form=closed,

@@ -753,53 +753,38 @@ def poly_growth_rate(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):
 # norm-growth estimation (the defining limits, used as an independent oracle)
 
 
-def _renormalized_squares(A_float, max_bit):
-    """[(A^(2^j) / scale_j, log scale_j)] for j = 0..max_bit."""
-    out = []
-    M = A_float.copy()
-    logscale = 0.0
-    for _ in range(max_bit + 1):
-        out.append((M.copy(), logscale))
+def _log_norms_of_powers(A_float, ns):
+    """[log ||A^n||_F for n in ns] in one renormalized squaring pass: A^n is
+    the product of the squares A^(2^j) over the set bits j of n, lowest
+    first, and each square and each product is scaled to max entry 1."""
+    acc = [None] * len(ns)  # (scaled product, log scale) over the bits so far
+    M, logscale = A_float, 0.0
+    for j in range(max(ns).bit_length()):
+        for i, n in enumerate(ns):
+            if not n >> j & 1:
+                continue
+            if acc[i] is None:
+                acc[i] = (M, logscale)
+                continue
+            P = acc[i][0] @ M
+            s = np.max(np.abs(P))
+            acc[i] = (P / s, acc[i][1] + logscale + float(np.log(s))) if s else (P, -np.inf)
         M = M @ M
-        logscale *= 2.0
         s = np.max(np.abs(M))
-        if s == 0.0:
-            out.extend([(M.copy(), -np.inf)] * (max_bit + 1 - len(out)))
-            break
-        M /= s
-        logscale += float(np.log(s))
+        M, logscale = (M / s, 2.0 * logscale + float(np.log(s))) if s else (M, -np.inf)
+    out = []
+    for a in acc:
+        if a is None:  # n = 0
+            out.append(0.5 * float(np.log(A_float.shape[0])))
+        else:
+            norm = float(np.linalg.norm(a[0]))
+            out.append(a[1] + float(np.log(norm)) if norm else -np.inf)
     return out
 
 
-def log_norm_of_power(A_float, n, squares=None):
+def log_norm_of_power(A_float, n):
     """log of the Frobenius norm of A^n, via renormalized repeated squaring."""
-    if n == 0:
-        return 0.5 * float(np.log(A_float.shape[0]))
-    if squares is None:
-        squares = _renormalized_squares(A_float, int(n).bit_length() - 1)
-    M = None
-    logscale = 0.0
-    bit = 0
-    k = n
-    while k:
-        if k & 1:
-            Mj, lj = squares[bit]
-            if M is None:
-                M, logscale = Mj.copy(), lj
-            else:
-                M = M @ Mj
-                logscale += lj
-                s = np.max(np.abs(M))
-                if s == 0.0:
-                    return -np.inf
-                M /= s
-                logscale += float(np.log(s))
-        bit += 1
-        k >>= 1
-    norm = float(np.linalg.norm(M))
-    if norm == 0.0:
-        return -np.inf
-    return logscale + float(np.log(norm))
+    return _log_norms_of_powers(A_float, [int(n)])[0]
 
 
 @dataclass(frozen=True)
@@ -825,9 +810,7 @@ def growth_rate_estimate(A, schedule=None):
     schedule = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    Af = A.to_float()
-    squares = _renormalized_squares(Af, max(int(n).bit_length() for n in schedule))
-    ys = [log_norm_of_power(Af, n, squares) for n in schedule]
+    ys = _log_norms_of_powers(A.to_float(), schedule)
     ns, Y = np.array(schedule, dtype=float), np.array([ys])
     (a,), _, (rms,), window = joint_rate_fit(ns, Y, fraction=64)
     (s_est,), _, _ = log_slope_fit(ns, Y - a * ns)

@@ -26,7 +26,7 @@ from . import cover, stability
 from ._report import Report
 from .errors import DimensionMismatch, NonSpanningSet
 
-GRID_POINTS = 1024  # phase grid used by the grid-mode displacement sup
+GRID_POINTS = 1024  # phase grid added to every displacement sup
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,18 @@ def dB_over_set(sigma, tau, objects=None):
 # the two functionals of the orbit distance
 
 
-def _displacements(record, ns, phases, grid):
-    """f_{g^n}(phi) - phi over the phases and, with grid, the phase grid;
-    one row per exponent in ns."""
-    pts = np.asarray(phases, dtype=float)
-    if grid:
-        pts = np.concatenate([pts, np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False)])
-    if not pts.size:
-        raise ValueError("no phases to evaluate")
+def _displacements(record, ns, phases):
+    """f_{g^n}(phi) - phi over the phases and the phase grid; one row per
+    exponent in ns."""
+    pts = np.concatenate([np.asarray(phases, dtype=float),
+                          np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False)])
     return record.phase(pts[None, :], np.asarray(ns)[:, None]) - pts
 
 
-def A_functional(g, n, alpha, phases=(), grid=True):
-    """Sup of |f_{g^n}(phi) + Re alpha - phi| over the phase set."""
+def A_functional(g, n, alpha, phases=()):
+    """Sup of |f_{g^n}(phi) + Re alpha - phi| over the phases and the grid."""
     alpha = complex(alpha)
-    disp = _displacements(cover.power_record(g), [n], phases, grid)
+    disp = _displacements(cover.power_record(g), [n], phases)
     return float(np.max(np.abs(disp + alpha.real)))
 
 
@@ -157,7 +154,7 @@ def B_functional(g, n, alpha, S=None):
 # quotient distance and translation length
 
 
-def quotient_distance(triple, n, use_grid=True):
+def quotient_distance(triple, n):
     """Distance from the base point to its n-th translate, minimized over
     the plane action.
 
@@ -169,12 +166,12 @@ def quotient_distance(triple, n, use_grid=True):
     """
     triple.require_verified()
     record = cover.power_record(triple.g)
-    return _quotient_distances(triple.sigma.phases(), record, [n], use_grid)[0]
+    return _quotient_distances(triple.sigma.phases(), record, [n])[0]
 
 
-def _quotient_distances(phases, record, ns, use_grid):
+def _quotient_distances(phases, record, ns):
     """quotient_distance for every n in ns, from the power record of g."""
-    disp = _displacements(record, ns, phases, use_grid)
+    disp = _displacements(record, ns, phases)
     log_fwd, log_inv = record.log_norms(ns)
     samples = []
     for n, row, fwd, inv in zip(ns, disp, log_fwd.tolist(), log_inv.tolist()):
@@ -224,7 +221,7 @@ def stable_translation_length(triple, n_max=64):
         k *= 2
     ns.append(n_max)
     record = cover.power_record(triple.g)
-    samples = tuple(_quotient_distances(triple.sigma.phases(), record, ns, True))
+    samples = tuple(_quotient_distances(triple.sigma.phases(), record, ns))
     estimate = samples[-1].distance / samples[-1].n
     fekete = min(s.distance / s.n for s in samples)
     return TranslationLengthReport(

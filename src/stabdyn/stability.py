@@ -17,12 +17,7 @@ import numpy as np
 
 from . import cover
 from ._report import Report
-from .errors import (
-    DimensionMismatch,
-    PreconditionViolated,
-    SingularMatrix,
-    UnverifiedTriple,
-)
+from .errors import DimensionMismatch, PreconditionViolated, UnverifiedTriple
 from .lattice import IntMatrix, det_exact, rational_inverse
 
 # Relative tolerance for |Z(v)| e^{i pi phase} against the charge value.
@@ -173,6 +168,13 @@ def json_int(x, what):
     return x
 
 
+def json_number(x, what):
+    """x when it is a JSON number; a string or a boolean is an input error."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError("%s entry %s is not a number" % (what, json.dumps(x)))
+    return x
+
+
 def _json_flag(obj, key):
     flag = obj.get(key, False)
     if not isinstance(flag, bool):
@@ -181,17 +183,19 @@ def _json_flag(obj, key):
 
 
 def datum_from_json(d, what):
-    return SemistableDatum(tuple(json_int(x, what + " v") for x in d["v"]), d["phase"])
+    v = tuple(json_int(x, what + " v") for x in d["v"])
+    return SemistableDatum(v, json_number(d["phase"], what + " phase"))
 
 
 def stability_from_json(obj):
-    Z = CentralCharge(tuple(map(tuple, obj["Z"])))
-    if "rank" in obj and int(obj["rank"]) != Z.rank:
+    Z = CentralCharge(tuple(tuple(json_number(x, "Z") for x in row) for row in obj["Z"]))
+    if "rank" in obj and json_int(obj["rank"], "rank") != Z.rank:
         raise DimensionMismatch("declared rank does not match the charge matrix")
+    C = obj.get("C")
     return StabilityData(
         Z=Z,
         semistables=tuple(datum_from_json(d, "semistable") for d in obj["semistables"]),
-        support_C=obj.get("C"),
+        support_C=None if C is None else json_number(C, "C"),
         norm=obj.get("norm", "max"),
         weak=_json_flag(obj, "weak"),
     )
@@ -456,10 +460,8 @@ def triple_power(triple, k):
 def act_on_stability(sigma, g):
     """Right action: charge M^{-1} Z, semistable phases pulled back by f^{-1}."""
     M = g.matrix
-    if np.linalg.cond(M) > 1e12:
-        raise SingularMatrix("cover element matrix is numerically singular")
     ginv = cover.inverse(g)
-    Znew = CentralCharge(tuple(map(tuple, (np.linalg.inv(M) @ sigma.Z.array).tolist())))
+    Znew = CentralCharge(tuple(map(tuple, (ginv.matrix @ sigma.Z.array).tolist())))
     sems = tuple(
         SemistableDatum(d.v, cover.evaluate(ginv, d.phase)) for d in sigma.semistables
     )

@@ -341,6 +341,17 @@ def test_non_finite_cover_element_is_input_error(tmp_path, capsys, sub, field, v
         (("seed",), {"factors": [{"v": [1.5, 0], "phase": 0.0}]},
          "seed v entry 1.5 is not an integer"),
         (("images",), [{"v": [2, "1"], "phase": 0.1}], 'image v entry "1" is not an integer'),
+        (("sigma", "semistables", 0, "phase"), "0.0", 'semistable phase entry "0.0" is not a number'),
+        (("sigma", "semistables", 1, "phase"), True, "semistable phase entry true is not a number"),
+        (("seed",), {"factors": [{"v": [1, 0], "phase": "0.0"}]},
+         'seed phase entry "0.0" is not a number'),
+        (("g", "f0"), "0.1475836176504333", 'g.f0 entry "0.1475836176504333" is not a number'),
+        (("g", "m"), [[2.0, "1.0"], [1.0, 1.0]], 'g.m entry "1.0" is not a number'),
+        (("sigma", "Z"), [["1.0", 0.0], [0.0, 1.0]], 'Z entry "1.0" is not a number'),
+        (("sigma", "C"), "2", 'C entry "2" is not a number'),
+        (("sigma", "C"), True, "C entry true is not a number"),
+        (("sigma", "rank"), 2.7, "rank entry 2.7 is not an integer"),
+        (("sigma", "rank"), "two", 'rank entry "two" is not an integer'),
     ],
 )
 @pytest.mark.parametrize("sub", ["check-triple", "growth", "translation"])
@@ -355,6 +366,20 @@ def test_bad_triple_data_is_input_error(tmp_path, capsys, sub, where, value, mes
     assert main([sub, path]) == 2
     captured = capsys.readouterr()
     assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", [("g",), ("sigma",), ("auto",), ("g", "f0"), ("sigma", "Z")])
+def test_missing_key_is_named(tmp_path, capsys, where):
+    payload = hyperbolic_triple_payload()
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    del node[where[-1]]
+    path = write(tmp_path / "t.json", payload)
+    assert main(["check-triple", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == 'input error: missing key "%s"\n' % where[-1]
     assert captured.out == ""
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabdyn import cover, families
+from stabdyn import cover, families, stability
 from stabdyn.cover import (
     GL2TildeElem,
     classify,
@@ -21,7 +21,7 @@ from stabdyn.cover import (
     renormalized_power_table,
     translation_number,
 )
-from stabdyn.errors import InvalidLift, NonPositiveDeterminant
+from stabdyn.errors import InvalidLift, NonPositiveDeterminant, PowerOverflow
 
 
 def hyperbolic(lam=2.0, deck=0.0):
@@ -284,6 +284,47 @@ def test_exact_eigen_phase_survives_underflow():
         assert power_phase(record, phis, n)[2] == 0.5
 
 
+def walk_orbit(g, phi, n):
+    """[phi, f(phi), ..., f^n(phi)] by the sequential walk: the base phase
+    computed once, then n steps of the closed-form lift.  The reference the
+    one-step cover._lift_eval is pinned to."""
+    (a, b), (c, d) = g.m
+    theta0 = cover._base_phase(g.m)
+    out = [float(phi)]
+    for _ in range(n):
+        k = math.floor(out[-1])
+        cs, sn = cover._cossin_pi(out[-1] - k)
+        inc = (math.atan2(c * cs + d * sn, a * cs + b * sn) / math.pi - theta0) % 2.0
+        if inc > 1.5:
+            inc -= 2.0
+        out.append(g.f0 + k + (0.0 if inc < 0.0 else inc))
+    return out
+
+
+def _int_turn(x, y):
+    """atan2(y, x) / pi for integers of any size."""
+    shift = max(max(abs(x), abs(y)).bit_length() - 64, 0)
+    return math.atan2(y >> shift, x >> shift) / math.pi
+
+
+def exact_orbit_phases(g, phi, n_max):
+    """f_{g^n}(phi) for n = 0..n_max from exact powers of the float matrix of
+    g: the argument of M^n v(phi) mod 2, lifted one step at a time into
+    (L + f0 - 1, L + f0 + 1), where |f(x) - x - f(0)| < 1 puts f(L)."""
+    scale = max(Fraction(x).denominator for row in g.m for x in row)
+    (a, b), (c, d) = ((int(Fraction(x) * scale) for x in row) for row in g.m)
+    k = math.floor(phi)
+    v = [Fraction(x) for x in cover._cossin_pi(phi - k)]
+    den = max(x.denominator for x in v)
+    x, y = (int(t * den) for t in v)
+    out = [phi]
+    for _ in range(n_max):
+        x, y = a * x + b * y, c * x + d * y
+        turn = _int_turn(x, y) + k  # v(phi) = (-1)^k v(phi - k)
+        out.append(turn + 2.0 * round((out[-1] + g.f0 - turn) / 2.0))
+    return out
+
+
 def test_orbit_equals_iterated_evaluate():
     rng = np.random.default_rng(37)
     # at phase 2^-54 this matrix rounds the image phase just below f(0)
@@ -296,18 +337,34 @@ def test_orbit_equals_iterated_evaluate():
     for g in elems:
         record = power_record(g)
         for phi in special + rng.uniform(-3.0, 3.0, size=4).tolist():
-            orbit = cover.orbit(g, phi, 300)
+            orbit = walk_orbit(g, phi, 300)
             expected = [phi]
             for _ in range(300):
                 expected.append(evaluate(g, expected[-1]))
             assert orbit == expected
             assert all(type(x) is float for x in orbit)
-            # the closed form against the sequential walk, as an oracle
-            longer = cover.orbit(g, phi, 512)
-            assert np.max(np.abs(record.phase(phi, np.arange(513)) - longer)) <= 1e-9
-        # power keeps only the last iterate of the same walk
-        assert cover.power(g, 40).f0 == cover.orbit(g, g.f0, 39)[-1]
-    assert cover.orbit(hyperbolic(), 0.3, 0) == [0.3]
+        assert cover.power(g, 40).f0 == record.phase(0.0, 40)
+    assert power(hyperbolic(), 0) == identity_elem()
+
+
+@pytest.mark.parametrize("seed", [37, 43])
+def test_closed_form_phases_match_exact_powers_along_the_orbit(seed):
+    # the sequential walk drifts up to 8.6e-9 from these on the seed-43 set
+    rng = np.random.default_rng(seed)
+    elems = [lift_from([[0.4, 0.5], [0.6, 0.9]], math.atan2(0.6, 0.4) / math.pi)]
+    elems += [random_elem(rng) for _ in range(6)]
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-1, 0, 2):
+            elems.append(families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g)
+    # an ill-conditioned order-3 family element
+    elems.append(_lifted(((-10, 13), (-7, 9))))
+    special = [0.0, 0.5, -0.25, 2.0**-54, 1.0 - 2.0**-53, -0.3268]
+    for g in elems:
+        record = power_record(g)
+        for phi in special + rng.uniform(-3.0, 3.0, size=3).tolist():
+            exact = np.array(exact_orbit_phases(g, phi, 512))
+            got = record.phase(phi, np.arange(513))
+            assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-12
 
 
 def _exact_power(m, n):
@@ -415,6 +472,34 @@ def test_phases_match_exact_integer_powers():
                     assert abs((value - turn) / 2.0 - round((value - turn) / 2.0)) <= 1e-12
             # the lift: f_{g^n}(0) - n tau stays in (-1, 1), and tau is exact
             assert abs(record.phase(0.0, 2**30) - 2**30 * record.tau) < 1.0
+
+
+def test_power_matrices_match_exact_integer_powers():
+    rng = np.random.default_rng(71)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (-2, 0, 1):
+            g = families.compatible_triple(rng, rank=2, kind=kind, shift=shift).g
+            m = [[int(x) for x in row] for row in g.m]
+            record = power_record(g)
+            for n in range(65):
+                exact = np.array(_exact_power(m, n), dtype=float)
+                p = power(g, n)
+                assert np.max(np.abs(p.matrix - exact)) <= 1e-12 * np.max(np.abs(exact)), (m, n)
+                assert p.f0 == record.phase(0.0, n)
+
+
+def test_power_beyond_the_float_range_raises_a_typed_error():
+    t = families.compatible_triple(np.random.default_rng(2), rank=2, kind="hyperbolic", shift=1)
+    assert t.g.m == ((-7.0, -2.0), (11.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: power(t.g, 800), lambda: stability.triple_power(t, 800)):
+            with pytest.raises(PowerOverflow, match="an entry of M\\^800 leaves the float range"):
+                call()
+        assert np.isfinite(power(t.g, 500).matrix).all()
+    # a parabolic element grows linearly, so 10^5 stays in range
+    g = families.compatible_triple(np.random.default_rng(5), rank=2, kind="parabolic", shift=1).g
+    assert power(g, 10**5).f0 == power_record(g).phase(0.0, 10**5)
 
 
 def test_translation_number_is_read_off_the_record():

@@ -35,6 +35,8 @@ from stabdyn.stability import (
     verify_triple,
 )
 
+from test_cover import exact_orbit_phases
+
 GOLDEN2 = (3.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -110,6 +112,25 @@ def test_mass_growth_hyperbolic_matches_top_eigenvalue():
     rep = mass_growth(t, seed_of(t), t=0.0, n_max=2048)
     assert abs(rep.exp_rate - math.log(GOLDEN2)) <= 1e-3
     assert rep.closed_form[0] == pytest.approx(math.log(GOLDEN2), abs=1e-12)
+
+
+def test_closed_form_states_the_rate_at_every_t():
+    # h_t = log rho + t tau: every factor's phase drifts by tau per step
+    rng = np.random.default_rng(5)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        for shift in (1, -2):
+            t = families.compatible_triple(rng, rank=3, kind=kind, shift=shift)
+            record = cover.power_record(t.g)
+            assert t.spanning and record.tau != 0.0
+            stream = MassStream(t, seed_of(t), n_max=4096)
+            for x in (-2.0, -0.5, 1.0, 2.0):
+                rep = mass_growth(t, seed_of(t), t=x, stream=stream)
+                rate = record.log_rho + x * record.tau
+                assert rep.closed_form == (rate, float(record.jordan))
+                assert abs(rep.exp_rate - rate) <= 1e-4, (kind, shift, x, rep.exp_rate, rate)
+                assert all(type(v) is float for _, v in rep.samples)
+            pol = pol_mass_growth(t, seed_of(t), n_max=4096)
+            assert all(type(v) is float for _, v in pol.samples)
 
 
 def test_mass_stream_against_exact_lattice_iteration():
@@ -453,8 +474,8 @@ def test_period_detector_matches_the_list_loop():
         wobble = rng.normal(size=q)
         streams.append([0.37 * n + wobble[n % q] for n in ns])
         streams.append([-1.5 * n + wobble[n % q] + 1e-12 * n * n for n in ns])
-    streams.append(list(cover.orbit(shift_triple(1).g, 0.3, 512)))
-    streams.append(list(cover.orbit(curve_triple(3).g, 0.3, 512)))
+    for g in (shift_triple(1).g, curve_triple(3).g):
+        streams.append(cover.power_record(g).phase(0.3, np.arange(513)).tolist())
     geo = sorted(set(range(1, 400)) | {512, 1024, 4096})
     cases = [(ns, ys) for ys in streams]
     cases += [(geo, [0.25 * n + (n % 7) for n in geo]), (ns[:159], streams[3][:159])]
@@ -483,23 +504,17 @@ def test_period_detector_takes_the_first_of_equal_runs():
     assert _detect_linear_periodic(ns[200:], [ys[200:]]) == [_list_detect(ns[200:], ys[200:])]
 
 
-def _count_shared_work(monkeypatch, call):
-    counts = {"record": 0, "orbit": 0}
-    build, walk = cover.power_record, cover.orbit
+def _count_records(monkeypatch, call):
+    count, build = [0], cover.power_record
 
     def counting_build(g):
-        counts["record"] += 1
+        count[0] += 1
         return build(g)
-
-    def counting_orbit(g, phi, n):
-        counts["orbit"] += 1
-        return walk(g, phi, n)
 
     with monkeypatch.context() as m:
         m.setattr(cover, "power_record", counting_build)
-        m.setattr(cover, "orbit", counting_orbit)
         call()
-    return counts
+    return count[0]
 
 
 @pytest.mark.parametrize(
@@ -518,7 +533,7 @@ def test_growth_calls_build_one_power_record_and_walk_no_orbit(monkeypatch, call
     triples += [families.compatible_triple(rng, rank=3, kind="parabolic", shift=1)]
     for t in triples:
         seed = seed_of(t)
-        assert _count_shared_work(monkeypatch, lambda: call(t, seed)) == {"record": 1, "orbit": 0}
+        assert _count_records(monkeypatch, lambda: call(t, seed)) == 1
 
 
 @pytest.mark.parametrize("suite", [yomdin_suite, linearity_check], ids=["yomdin", "linearity"])
@@ -607,14 +622,15 @@ def test_default_schedule_hands_out_a_fresh_list():
 
 
 def test_mass_stream_matches_the_sequential_orbit():
-    # the closed-form phases of every factor against the cover.orbit walk
+    # the closed-form phases of every factor against exact integer powers
     rng = np.random.default_rng(61)
     for kind in ("hyperbolic", "parabolic", "elliptic"):
         t = families.compatible_triple(rng, rank=3, kind=kind, shift=1)
         seed = seed_of(t)
         stream = MassStream(t, seed, n_max=512)
         for d, phis in zip(seed.factors, stream.phis):
-            assert np.max(np.abs(phis - cover.orbit(t.g, d.phase, 512)[1:])) <= 1e-9
+            exact = np.array(exact_orbit_phases(t.g, d.phase, 512)[1:])
+            assert np.max(np.abs(phis - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-12
 
 
 def test_pol_mass_growth_has_no_parabolic_drift_at_two_to_the_twenty():

@@ -79,20 +79,20 @@ def test_dB_pure_rotation_gives_phase_term():
 
 def test_A_identity_zero_alpha():
     g = cover.identity_elem()
-    assert A_functional(g, 5, 0.0, phases=(0.0, 0.3), grid=True) == pytest.approx(0.0, abs=1e-12)
+    assert A_functional(g, 5, 0.0, phases=(0.0, 0.3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_A_identity_real_alpha():
     g = cover.identity_elem()
     for c in (-1.3, 0.4, 2.0):
-        assert A_functional(g, 3, c, phases=(0.1,), grid=True) == pytest.approx(abs(c), abs=1e-12)
+        assert A_functional(g, 3, c, phases=(0.1,)) == pytest.approx(abs(c), abs=1e-12)
 
 
 def test_A_recentered_below_one():
     t = hyperbolic_triple()
     for n in (1, 4, 16, 64):
         f_n0 = cover.power(t.g, n).f0
-        val = A_functional(t.g, n, -f_n0, phases=t.sigma.phases(), grid=True)
+        val = A_functional(t.g, n, -f_n0, phases=t.sigma.phases())
         assert val < 1.0
 
 
@@ -174,7 +174,7 @@ def test_quotient_distance_below_seed_value():
     det = float(np.linalg.det(t.g.matrix))
     seed = complex(-cover.power(t.g, n).f0, math.log(det ** (n / 2.0)) / math.pi)
     upper = max(
-        A_functional(t.g, n, seed, phases=t.sigma.phases(), grid=True),
+        A_functional(t.g, n, seed, phases=t.sigma.phases()),
         B_functional(t.g, n, seed),
     )
     assert quotient_distance(t, n).distance <= upper + 1e-9
