@@ -11,6 +11,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import cover, families, growth, metric, scenarios, stability
 from ._fit import linear_schedule
 from .errors import StabDynError
@@ -66,19 +68,31 @@ def _parse_matrix_file(path):
 
 def _parse_triple_file(path, tol):
     data = _load_json(path)
+    # charges near the float range overflow in the checks: the input is at fault
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _read_triple(data, tol)
+        except (OverflowError, FloatingPointError) as exc:
+            raise ValueError("triple data overflows float arithmetic: %s" % exc) from None
+
+
+def _read_triple(data, tol):
     sigma = stability.stability_from_json(data["sigma"])
     auto = stability.auto_from_json(data["auto"])
+    if auto.P.dim != sigma.rank:
+        raise ValueError("auto.p is %d x %d, charge rank is %d"
+                         % (auto.P.dim, auto.P.dim, sigma.rank))
     gspec = data["g"]
     m = [[stability.json_number(x, "g.m") for x in row] for row in gspec["m"]]
     g = cover.lift_from(m, stability.json_number(gspec["f0"], "g.f0"))
     images = None
     if "images" in data:
-        images = tuple(stability.datum_from_json(d, "image") for d in data["images"])
+        images = tuple(stability.datum_from_json(d, "image", sigma.rank) for d in data["images"])
     triple = stability.verify_triple(auto, sigma, g, tol=tol, images=images)
     seed = None
     if "seed" in data:
         seed = stability.HNObject(
-            tuple(stability.datum_from_json(d, "seed") for d in data["seed"]["factors"]))
+            tuple(stability.datum_from_json(d, "seed", sigma.rank) for d in data["seed"]["factors"]))
     return triple, seed
 
 

@@ -310,7 +310,8 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
     """Log n rate of log mass after removing the linear term.
 
     The linear term is the closed-form log rho(M_g) when the image spans
-    (flagged in the diagnostics), otherwise the fitted rate.
+    (flagged in the diagnostics), otherwise the fitted rate.  The d/n term
+    of joint_rate_fit goes too, as in _fit_streams.
     """
     stream = MassStream(triple, seed, n_max=n_max)
     ys = stream.log_mass(t)
@@ -328,7 +329,9 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
         poly = 0.0
         window, max_slope = diag.get("window"), 0.0
     else:
-        (poly,), window, (max_slope,) = _poly_rate_about(ns, ys[None], [rate_used])
+        # the same d/n term _fit_streams removes, so a Jordan block reads its rate
+        _, (d,), _, _ = joint_rate_fit(ns, ys[None])
+        (poly,), window, (max_slope,) = _poly_rate_about(ns, (ys - d / ns)[None], [rate_used])
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys.tolist())),
         exp_rate=float(exp_rate),

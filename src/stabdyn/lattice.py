@@ -1,7 +1,7 @@
 """Exact and numerical linear algebra over a finite-rank integer lattice.
 
 The exact layer (characteristic/minimal polynomials, square-free splitting,
-determinants, inverses) runs in exact integer arithmetic, so nothing is
+determinants, inverses) runs in exact integer arithmetic, so no answer is
 rounded before the final root extraction.  One fraction-free Gaussian
 eliminator (one-step Bareiss) backs determinants, inverses and Krylov
 chains: each pivot step reduces only the rows no pivot has taken yet, and a
@@ -21,9 +21,16 @@ that p and p' are coprime mod the prime 2^31 - 1, which certifies a
 square-free p; otherwise Yun's loop runs on primitive-PRS gcds with exact
 division by monic factors.  Jordan data is exact: one elimination of the
 columns of f(A)^k, f a Yun factor, gives a kernel basis, whose Krylov
-chains tell apart roots of f with different blocks.  Root polishing and
-norm-growth estimation are plain numpy float64 with the thresholds stated
-in the docstrings, so every test is reproducible.
+chains tell apart roots of f with different blocks.  Two kernels run on
+int64 numpy arrays under a bound that proves no entry wraps: f(A) X, for
+the minimal polynomial's tests on the unit columns and for the columns of
+f(A)^k, is Horner on int64 products while each step acc -> A acc + c X
+keeps n max|A| max|acc| + |c| max|X| < 2^63, and goes on in Python ints
+from the first step where it fails; a unimodular inverse is the rounded
+float64 inverse N when P N = I holds exactly in int64 (entries of P below
+2^53, n max|P| max|N| < 2^63), and comes from the eliminator otherwise.
+Root polishing and norm-growth estimation are plain numpy float64 with
+the thresholds stated in the docstrings, so every test is reproducible.
 """
 
 import math
@@ -220,8 +227,51 @@ def rational_inverse(A):
     return tuple(zip(*N)), d
 
 
+def _int_array(rows):
+    """rows as an int64 array, or as Python ints (dtype object) beyond int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _max_abs(a):
+    """max |a_ij| of an integer array as a Python int (exact at -2^63 too)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _float_inverse(P):
+    """The rounded float64 inverse N of P when P N = I holds exactly, else None.
+
+    P is converted exactly (entries below 2^53), and n max|P| max|N| < 2^63
+    bounds every partial sum of the int64 product, so the check cannot wrap.
+    An integer N with P N = I is the inverse, and P is unimodular.
+    """
+    a = _int_array(P.entries)
+    amax = _max_abs(a)
+    if amax >= 2**53:
+        return None
+    try:
+        inv = np.linalg.inv(a.astype(float))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.max(np.abs(inv)) < 2.0**62:  # also false for nan
+        return None
+    N = np.rint(inv).astype(np.int64)
+    if P.dim * amax * _max_abs(N) >= 2**63:
+        return None
+    return N if np.array_equal(a @ N, np.eye(P.dim, dtype=np.int64)) else None
+
+
 def inverse_unimodular(P):
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1.
+
+    A rounded float64 inverse answers when an exact int64 product certifies
+    it (_float_inverse); otherwise rational_inverse decides.
+    """
+    N = _float_inverse(P)
+    if N is not None:
+        return IntMatrix(N.tolist())
     try:
         N, d = rational_inverse(P)
     except SingularMatrix:
@@ -410,11 +460,27 @@ def _krylov_char_poly(A):
     return _chain_product(A, np.eye(A.dim, dtype=int).tolist())
 
 
-def _poly_apply(A, coeffs, v):
-    """coeffs(A) v by Horner's rule from c_0 v, coefficients descending."""
-    acc = [coeffs[0] * x for x in v]
-    for c in coeffs[1:]:
-        acc = [a + c * x for a, x in zip(_apply(A.entries, acc), v)]
+def _poly_at(a, coeffs, X):
+    """coeffs(a) X by Horner's rule, a an n x n array from _int_array,
+    coefficients descending, X an n x k integer matrix; returns an n x k array.
+
+    A step acc -> a acc + c X stays on int64 while n max|a| max|acc| +
+    |c| max|X| < 2^63, which bounds every entry and partial sum it forms.
+    max|acc| is carried as that bound and measured only where the bound
+    fails; from the first step where the measured maximum fails it too, the
+    loop goes on in Python ints (dtype object).
+    """
+    x = _int_array(X).reshape(len(a), -1)
+    step, xmax = len(a) * _max_abs(a), max(_max_abs(x), 1)
+    acc, bound = None, 0
+    for c in coeffs:
+        bound = step * bound + abs(c) * xmax
+        if bound >= 2**63 and acc is not None and acc.dtype != object:
+            bound = step * _max_abs(acc) + abs(c) * xmax
+        if bound >= 2**63 and x.dtype != object:
+            a, x = a.astype(object), x.astype(object)
+            acc = None if acc is None else acc.astype(object)
+        acc = c * x if acc is None else a @ acc + c * x
     return acc
 
 
@@ -424,18 +490,20 @@ def min_poly(A):
     The chain from e_0 in a fresh elimination gives mu_{e_0}, the monic
     generator of the polynomials that kill e_0.  If it has degree n it is
     char_poly(A), hence mu.  Otherwise mu = lcm_j mu_{e_j}, each from a
-    fresh elimination; an e_j the lcm so far already kills is skipped.
-    Every mu_{e_j} divides char_poly(A) in Z[x], so the lcm (through the
-    monic gcd) stays integral.  Returns (coefficients descending,
-    used_char_poly=False).
+    fresh elimination, in the order of j.  One evaluation of the lcm so far
+    on the unit columns still open (_poly_at) drops every e_j it kills; it
+    is repeated only after the lcm grows.  Every mu_{e_j} divides
+    char_poly(A) in Z[x], so the lcm (through the monic gcd) stays integral.
+    Returns (coefficients descending, used_char_poly=False).
     """
-    units = np.eye(A.dim, dtype=int).tolist()
-    mu = _krylov_chain(A, units[0], _Bareiss())
-    for e in units[1:]:
-        if len(mu) == A.dim + 1:
-            break
-        if any(_poly_apply(A, mu, e)):
-            mu_j = _krylov_chain(A, e, _Bareiss())
+    a, units = _int_array(A.entries), np.eye(A.dim, dtype=np.int64)
+    mu = _krylov_chain(A, units[0].tolist(), _Bareiss())
+    rest = list(range(1, A.dim))  # the e_j the lcm may not kill yet
+    while rest and len(mu) < A.dim + 1:
+        alive = (_poly_at(a, mu, units[:, rest]) != 0).any(axis=0)
+        rest = [j for j, live in zip(rest, alive.tolist()) if live]
+        if rest:
+            mu_j = _krylov_chain(A, units[rest.pop(0)].tolist(), _Bareiss())
             mu = _poly_mul(mu, _poly_div_monic(mu_j, _poly_gcd(mu, mu_j)))
     return mu, False
 
@@ -511,11 +579,7 @@ def _modular_char_poly(A):
     plist = _primes_above(_coefficient_bits(A) + 2)
     p = np.array(plist, dtype=np.int64)[:, None]
     p3 = p[:, :, None]
-    try:
-        a = np.array(A.entries, dtype=np.int64)
-    except OverflowError:  # entries beyond int64 reduce as Python ints
-        a = np.array(A.entries, dtype=object)
-    H = (a % p3).astype(np.int64)
+    H = (_int_array(A.entries) % p3).astype(np.int64)  # beyond int64, reduce as Python ints
     for c in range(n - 2):
         piv = H[:, c + 1, c].tolist()
         if 0 in piv:
@@ -604,11 +668,11 @@ def _jordan_pieces(A, coeffs):
     Krylov chains of a kernel basis multiply to prod_lam (x - lam)^d_k(lam),
     and gcds with its Yun factors split the pieces.
     """
-    out, units = [], np.eye(A.dim, dtype=int).tolist()
+    out, units, a = [], np.eye(A.dim, dtype=int).tolist(), _int_array(A.entries)
     for f, m in squarefree_decomposition(coeffs):
         pieces, cols = [(f, [0])], units
         while m > 1:
-            cols = [_poly_apply(A, f, c) for c in cols]
+            cols = _poly_at(a, f, list(zip(*cols))).T.tolist()
             if len(f) == 2:  # f is linear: only the rank counts, so keep a basis of im f(A)^k
                 elim = _Bareiss()
                 cols = [c for c in cols if elim.feed(c) is None]

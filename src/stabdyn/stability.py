@@ -182,8 +182,10 @@ def _json_flag(obj, key):
     return flag
 
 
-def datum_from_json(d, what):
+def datum_from_json(d, what, rank):
     v = tuple(json_int(x, what + " v") for x in d["v"])
+    if len(v) != rank:
+        raise ValueError("%s v has length %d, charge rank is %d" % (what, len(v), rank))
     return SemistableDatum(v, json_number(d["phase"], what + " phase"))
 
 
@@ -194,7 +196,7 @@ def stability_from_json(obj):
     C = obj.get("C")
     return StabilityData(
         Z=Z,
-        semistables=tuple(datum_from_json(d, "semistable") for d in obj["semistables"]),
+        semistables=tuple(datum_from_json(d, "semistable", Z.rank) for d in obj["semistables"]),
         support_C=None if C is None else json_number(C, "C"),
         norm=obj.get("norm", "max"),
         weak=_json_flag(obj, "weak"),

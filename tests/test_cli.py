@@ -352,6 +352,11 @@ def test_non_finite_cover_element_is_input_error(tmp_path, capsys, sub, field, v
         (("sigma", "C"), True, "C entry true is not a number"),
         (("sigma", "rank"), 2.7, "rank entry 2.7 is not an integer"),
         (("sigma", "rank"), "two", 'rank entry "two" is not an integer'),
+        (("sigma", "semistables", 0, "v"), [1, 0, 0], "semistable v has length 3, charge rank is 2"),
+        (("auto", "p"), [[1]], "auto.p is 1 x 1, charge rank is 2"),
+        (("seed",), {"factors": [{"v": [1, 0, 0], "phase": 0.0}]},
+         "seed v has length 3, charge rank is 2"),
+        (("images",), [{"v": [2, 1, 0], "phase": 0.1}], "image v has length 3, charge rank is 2"),
     ],
 )
 @pytest.mark.parametrize("sub", ["check-triple", "growth", "translation"])
@@ -393,6 +398,20 @@ def test_json_boolean_flags_and_a_finite_support_constant_are_accepted(tmp_path,
     out = json.loads(capsys.readouterr().out)
     assert out["sigma"]["C"] == 2.0 and out["sigma"]["weak"] is False
     assert main(["growth", path, "--n-max", "64", "--format", "text"]) == 0
+
+
+@pytest.mark.parametrize("scale", [5e307, 1e300])
+@pytest.mark.parametrize("sub", ["check-triple", "growth", "translation"])
+def test_huge_central_charge_is_input_error(tmp_path, capsys, sub, scale):
+    # 5e307 overflowed abs() in a raw traceback, 1e300 leaked a numpy warning
+    payload = hyperbolic_triple_payload()
+    payload["sigma"]["Z"] = [[x * scale for x in row] for row in payload["sigma"]["Z"]]
+    path = write(tmp_path / "t.json", payload)
+    assert main([sub, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("input error: triple data overflows float arithmetic: "
+                            "overflow encountered in dot\n")
+    assert captured.out == ""
 
 
 def test_huge_finite_matrix_is_input_error_without_warnings(tmp_path):

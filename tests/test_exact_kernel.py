@@ -3,7 +3,9 @@ characteristic and minimal polynomials and square-free split, against exact
 integer identities and two independent references (the Faddeev-LeVerrier
 recursion for the characteristic polynomial, the first rational dependence
 of vec(I), vec(A), vec(A^2), ... for the minimal polynomial), plus the work
-and exactness guarantees of the Gaussian Bareiss sweep itself."""
+and exactness guarantees of the Gaussian Bareiss sweep itself and of the
+bounded int64 kernels (the matrix-polynomial evaluation against a Python-int
+Horner reference, the certified float inverse against rational_inverse)."""
 
 import operator
 from fractions import Fraction
@@ -533,3 +535,111 @@ def test_random_unimodular_matches_the_dense_products(n):
             P = random_unimodular(rng, n, steps=steps, bound=bound)
             assert [list(row) for row in P.entries] == reference_unimodular(ref_rng, n, steps, bound)
             assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same draws
+
+
+# ---------------------------------------------------------------------------
+# int64 kernels under a bound: _poly_at and the certified unimodular inverse
+
+
+def poly_apply(A, coeffs, v):
+    """coeffs(A) v by Horner's rule from c_0 v in Python ints, one vector at
+    a time: the reference for lattice._poly_at."""
+    acc = [coeffs[0] * x for x in v]
+    for c in coeffs[1:]:
+        acc = [sum(map(operator.mul, row, acc)) + c * x for row, x in zip(A.entries, v)]
+    return acc
+
+
+# entry sizes: small; near 2^31, where Horner leaves int64 after a few steps;
+# near 2^62, where the first product already would wrap; beyond int64
+SCALES = (4, 2**31, 2**62, 2**64)
+
+
+@st.composite
+def scaled_ints(draw, scale):
+    if scale == 4:
+        return draw(st.integers(-4, 4))
+    return draw(st.sampled_from((-1, 1))) * (scale + draw(st.integers(-4, 4)))
+
+
+@st.composite
+def poly_at_cases(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    a_scale = draw(st.sampled_from(SCALES))
+    x_scale, c_scale = (draw(st.sampled_from((4, 4) + SCALES[1:])) for _ in range(2))
+    A = IntMatrix(tuple(tuple(draw(scaled_ints(a_scale)) for _ in range(n)) for _ in range(n)))
+    X = [[draw(scaled_ints(x_scale)) for _ in range(k)] for _ in range(n)]
+    coeffs = draw(st.lists(scaled_ints(c_scale), min_size=1, max_size=7))
+    return A, coeffs, X
+
+
+@EXACT
+@hypothesis.given(poly_at_cases())
+def test_poly_at_matches_the_python_int_reference(case):
+    A, coeffs, X = case
+    got = lattice._poly_at(lattice._int_array(A.entries), coeffs, X).T.tolist()
+    want = [poly_apply(A, coeffs, col) for col in zip(*X)]
+    assert got == want
+    assert all(type(x) is int for col in got for x in col)
+
+
+@pytest.mark.parametrize(
+    "coeffs, X, wide",
+    [
+        ([1, 0, 0], [[1]], False),  # 2^62 still fits
+        ([1, 0, 0, 0], [[1]], True),  # the third product would reach 2^93
+        ([2**62, 1], [[2]], True),  # c_0 X alone would wrap
+    ],
+)
+def test_poly_at_leaves_int64_at_the_first_step_the_bound_fails(coeffs, X, wide):
+    A = IntMatrix(((2**31,),))
+    got = lattice._poly_at(lattice._int_array(A.entries), coeffs, X)
+    assert (got.dtype == object) == wide
+    assert got.tolist() == [poly_apply(A, coeffs, [X[0][0]])]
+
+
+def test_min_poly_and_jordan_data_of_a_block_map_beyond_int64():
+    # entries near 2^40: the coefficients of (x - 2^40)^2 pass 2^63, so the
+    # lcm is tested on Python ints
+    J = jordan_block(2**40, 2)
+    A = IntMatrix(direct_sum(J, J, ((2**40 + 1,),)))
+    mu, _ = min_poly(A)
+    assert mu == poly_mul(poly_mul([1, -(2**40)], [1, -(2**40)]), [1, -(2**40 + 1)])
+    assert_minimal_polynomial(A, mu)
+    pieces = lattice._jordan_pieces(A, char_poly(A))
+    assert sorted(pieces) == [([1, -(2**40 + 1)], 1, (1,)), ([1, -(2**40)], 4, (2, 2))]
+
+
+@EXACT
+@hypothesis.given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_inverse_unimodular_equals_rational_inverse(n, seed, bound):
+    P = random_unimodular(np.random.default_rng(seed), n, steps=3 * n, bound=bound)
+    assert inverse_unimodular(P).entries == rational_inverse(P)[0]
+
+
+def test_certified_float_inverse_answers_small_unimodular_maps():
+    P = IntMatrix(((2, 1), (1, 1)))
+    assert lattice._float_inverse(P).tolist() == [[1, -1], [-1, 2]]
+
+
+def test_inverse_beyond_two_to_the_53_takes_the_bareiss_route(monkeypatch):
+    # (I - 3S)^-1 = sum_k 3^k S^k: 3^35 has no float64, so the rounded
+    # candidate fails P N = I (the int64 bound 36 * 3 * 3^35 < 2^63 holds)
+    n = 36
+    P = IntMatrix(tuple(tuple(1 if i == j else -3 if j == i + 1 else 0 for j in range(n))
+                        for i in range(n)))
+    N, d = rational_inverse(P)
+    assert d == 1 and max(abs(x) for row in N for x in row) == 3**35 > 2**53
+    assert n * 3 * 3**35 < 2**63
+    assert lattice._float_inverse(P) is None
+    calls = []
+    monkeypatch.setattr(lattice, "rational_inverse",
+                        lambda A: calls.append(A) or rational_inverse(A))
+    assert inverse_unimodular(P).entries == N
+    assert calls == [P]
+
+
+@pytest.mark.parametrize("rows", [((2, 0), (0, 1)), ((1, 2), (1, 4)), ((1, 1), (1, 1))])
+def test_inverse_unimodular_rejects_a_non_unimodular_map(rows):
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(IntMatrix(rows))

@@ -633,6 +633,18 @@ def test_mass_stream_matches_the_sequential_orbit():
             assert np.max(np.abs(phis - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-12
 
 
+def test_pol_mass_growth_removes_the_one_over_n_term():
+    # without the d/n term of the joint fit the first triple read 1 - 7.4e-4
+    rng = np.random.default_rng(11)
+    triples = [families.compatible_triple(rng, rank=r, kind="parabolic")
+               for r in (2, 2, 3, 3, 4, 4)] + [curve_triple(3, m=1)]
+    for t in triples:
+        for n_max in (2**12, 2**14):
+            rep = pol_mass_growth(t, families.seed_object(t), n_max=n_max)
+            assert rep.closed_form == (0.0, 1.0)
+            assert abs(rep.poly_rate - 1.0) <= 1e-6, (t.g.m, n_max, rep.poly_rate)
+
+
 def test_pol_mass_growth_has_no_parabolic_drift_at_two_to_the_twenty():
     # renormalized repeated squaring lost the Jordan structure of these
     # elements: 13 of the 60 rates drifted beyond 0.2 at n_max = 2^20
