@@ -163,8 +163,3 @@ def geometric_schedule(n_max, points_per_octave=4):
         k += 1
     out.add(int(n_max))
     return sorted(out)
-
-
-def linear_schedule(n_max):
-    """Up to 64 integers evenly spaced from 1 to n_max."""
-    return np.unique(np.linspace(1, n_max, min(64, n_max)).astype(int)).tolist()

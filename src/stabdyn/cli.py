@@ -7,6 +7,7 @@ significant digits and keys are sorted before serialization.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -14,7 +15,6 @@ import sys
 import numpy as np
 
 from . import cover, families, growth, metric, scenarios, stability
-from ._fit import linear_schedule
 from .errors import StabDynError
 from .lattice import IntMatrix, spectral_data
 
@@ -96,12 +96,6 @@ def _read_triple(data, tol):
     return triple, seed
 
 
-def _schedule(kind, n_max):
-    if kind == "linear":
-        return linear_schedule(n_max)
-    return growth.default_schedule(n_max)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,11 +139,15 @@ def cmd_growth(args):
         _dump_json({"verified": False, "failure": triple.failure.to_json()}, args.out)
         return EXIT_NOT_COMPATIBLE
     seed = seed or families.seed_object(triple)
-    schedule = _schedule(args.schedule, args.n_max)
     t_grid = args.t_grid
-    stream = growth.MassStream(triple, seed, n_max=args.n_max, schedule=schedule)
-    stream.fits(t_grid)  # the whole grid in one batch
-    reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
+    # a weight near the float range overflows the weighted masses: the input is at fault
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            stream = growth.MassStream(triple, seed, n_max=args.n_max)
+            stream.fits(t_grid)  # the whole grid in one batch
+            reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
+        except FloatingPointError as exc:
+            raise ValueError("t grid overflows float arithmetic: %s" % exc) from None
     if args.format == "csv":
         if len(t_grid) == 1:
             lines = ["n,value"]
@@ -190,35 +188,13 @@ def cmd_translation(args):
     return EXIT_OK
 
 
-SCENARIO_FLAG_MAP = {
-    "curve": {"deg_L": "degL", "m": "m", "n_max": None},
-    "coh1": {"lam": "lam", "m": "m", "n_max": None},
-    "weak": {"intersection_number": "intersection", "m": "m", "n_max": None},
-    "ginzburg": {"phase1": "p1", "phase2": "p2", "d": "d"},
-    "pseudo-anosov": {"matrix": "matrix", "n_max": None},
-}
-
-
 def cmd_scenario(args):
-    name = args.name
-    if name not in scenarios.SCENARIOS:
-        print("unknown scenario %r; choices: %s" % (name, sorted(scenarios.SCENARIOS)),
-              file=sys.stderr)
-        return EXIT_INPUT
-    kwargs = {}
-    mapping = SCENARIO_FLAG_MAP[name]
-    for param, flag in mapping.items():
-        if flag is None:
-            if param == "n_max" and args.n_max is not None:
-                kwargs["n_max"] = args.n_max
-            continue
-        value = getattr(args, flag, None)
-        if value is not None:
-            if param == "matrix":
-                rows = [r.split(",") for r in value.split(";")]
-                value = tuple(tuple(int(x) for x in row) for row in rows)
-            kwargs[param] = value
-    rep = scenarios.run_scenario(name, **kwargs)
+    kwargs = {k: getattr(args, k) for k in args.flags if getattr(args, k) is not None}
+    takes = inspect.signature(scenarios.SCENARIOS[args.name]).parameters
+    foreign = [args.flags[k] for k in kwargs if k not in takes]
+    if foreign:
+        raise ValueError("scenario %s takes no %s" % (args.name, ", ".join(foreign)))
+    rep = scenarios.run_scenario(args.name, **kwargs)
     if args.format == "text":
         _emit("\n".join(rep.text_lines()) + "\n", args.out)
     elif args.format == "csv":
@@ -238,11 +214,25 @@ def cmd_scenario(args):
 
 
 def _parse_t_grid(text):
-    return tuple(float(x) for x in text.split(","))
+    grid = tuple(float(x) for x in text.split(","))
+    if not all(map(math.isfinite, grid)):
+        raise argparse.ArgumentTypeError("weights must be finite, got %s" % text)
+    return grid
+
+
+def _parse_matrix(text):
+    """Integer rows "a,b;c,d" as a tuple of tuples."""
+    return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line and exit code 2, as every input error."""
+        self.exit(EXIT_INPUT, "input error: %s\n" % message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabdyn",
         description="invariants of lattice actions on stability data",
     )
@@ -256,8 +246,6 @@ def build_parser():
             p.add_argument("--tol", type=float, default=1e-9)
         if "n_max" in flags:
             p.add_argument("--n-max", dest="n_max", type=int, default=4096)
-        if "schedule" in flags:
-            p.add_argument("--schedule", choices=("geom", "linear"), default="geom")
         if "t_grid" in flags:
             p.add_argument("--t-grid", dest="t_grid", type=_parse_t_grid,
                            default=growth.DEFAULT_T_GRID)
@@ -273,7 +261,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_triple)
 
     p = sub.add_parser("growth", help="mass growth along the iteration")
-    common(p, "tol", "n_max", "schedule", "t_grid")
+    common(p, "tol", "n_max", "t_grid")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("translation", help="stable translation length")
@@ -281,17 +269,21 @@ def build_parser():
     p.set_defaults(func=cmd_translation)
 
     p = sub.add_parser("scenario", help="run a named worked example")
-    p.add_argument("name")
-    common(p, "n_max", needs_input=False)
-    p.add_argument("--degL", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--intersection", type=float, default=None)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--p2", type=float, default=None)
-    p.add_argument("--matrix", default=None, help='2x2 integer rows "a,b;c,d"')
-    p.set_defaults(func=cmd_scenario, n_max=None)  # None: each scenario's own default
+    p.add_argument("name", choices=scenarios.SCENARIOS)
+    common(p, needs_input=False)
+    # each dest is the keyword of the scenario functions; unset: the scenario's own default
+    flags = [
+        p.add_argument("--n-max", dest="n_max", type=int),
+        p.add_argument("--degL", dest="deg_L", type=int),
+        p.add_argument("--m", type=int),
+        p.add_argument("--lambda", dest="lam", type=float),
+        p.add_argument("--d", type=int),
+        p.add_argument("--intersection", dest="intersection_number", type=float),
+        p.add_argument("--p1", dest="phase1", type=float),
+        p.add_argument("--p2", dest="phase2", type=float),
+        p.add_argument("--matrix", type=_parse_matrix, help='2x2 integer rows "a,b;c,d"'),
+    ]
+    p.set_defaults(func=cmd_scenario, flags={a.dest: a.option_strings[0] for a in flags})
 
     return parser
 
@@ -300,14 +292,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "tol", 1.0) <= 0.0:
+            parser.error("tolerance must be positive")
+        if getattr(args, "n_max", None) is not None and args.n_max < 16:
+            parser.error("n_max must be at least 16")
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "tol", 1.0) <= 0.0:
-        print("input error: tolerance must be positive", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "n_max", None) is not None and args.n_max < 16:
-        print("input error: n_max must be at least 16", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except KeyError as exc:

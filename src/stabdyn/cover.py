@@ -71,8 +71,12 @@ class GL2TildeElem(Report):
         m = tuple(tuple(float(x) for x in row) for row in self.m)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise ValueError("m must be 2x2")
+        if not all(map(math.isfinite, m[0] + m[1])):
+            raise ValueError("m = %s is not finite" % [list(r) for r in m])
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "f0", float(self.f0))
+        if not math.isfinite(self.f0):
+            raise ValueError("f0 = %r is not finite" % self.f0)
 
     @property
     def matrix(self):
@@ -89,10 +93,7 @@ def lift_from(M, f0):
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError("M must be 2x2")
-    for name, x in (("m", M), ("f0", f0)):
-        if not np.isfinite(x).all():
-            raise ValueError("%s = %s is not finite" % (name, np.asarray(x).tolist()))
-    (a, b), (c, d) = M.tolist()
+    (a, b), (c, d) = GL2TildeElem(m=M.tolist(), f0=f0).m  # finite entries and f0
     det = a * d - b * c  # Python floats: overflow gives inf, not a numpy warning
     if not math.isfinite(det):
         raise ValueError("det(M) = %r is not finite" % det)

@@ -102,17 +102,18 @@ def _detect_linear_periodic(ns, rows):
 
 
 def _fit_streams(ns, Y):
-    """[(exp_rate, poly_rate, diagnostics)] for the rows of Y, all on schedule ns.
+    """([(exp_rate, poly_rate, diagnostics)], [d]) for the rows of Y, all on schedule ns.
 
-    Detection first; otherwise joint least squares for the linear rate and a
-    Theil-Sen log n slope (with a max-of-suffix-windows diagnostic) for the
+    Detection first; otherwise joint least squares for the linear rate and
+    the d/n coefficient d (0 on a periodic row), and a Theil-Sen log n slope
+    of y - d/n - rate n (with a max-of-suffix-windows diagnostic) for the
     polynomial rate.  Each stage runs once over all rows.  Y is a 2-D array
     or a list of rows; the periodic numbers read off a row keep its type.
     """
     ns = np.asarray(ns, dtype=float)
     detected = _detect_linear_periodic(ns, Y)
     Y = np.asarray(Y, dtype=float)
-    out = [None] * len(Y)
+    out, ds = [None] * len(Y), [0.0] * len(Y)
     periodic = [r for r, d in enumerate(detected) if d is not None]
     if periodic:
         # deviations are exactly periodic, so the log n rate is zero
@@ -132,8 +133,10 @@ def _fit_streams(ns, Y):
     fitted = [r for r, d in enumerate(detected) if d is None]
     if fitted:
         rates, inv, rms, window = joint_rate_fit(ns, Y[fitted])
-        slopes, win2, max_slopes = _poly_rate_about(ns, Y[fitted] - np.outer(inv, 1.0 / ns), rates)
+        slopes, win2, max_slopes = log_slope_fit(
+            ns, Y[fitted] - np.outer(inv, 1.0 / ns) - np.array(rates)[:, None] * ns)
         for i, r in enumerate(fitted):
+            ds[r] = inv[i]
             out[r] = (rates[i], slopes[i], {
                 "structure": "fit",
                 "fit_residual": rms[i],
@@ -141,13 +144,7 @@ def _fit_streams(ns, Y):
                 "poly_window": win2,
                 "poly_max_window_slope": max_slopes[i],
             })
-    return out
-
-
-def _poly_rate_about(ns, Y, rates):
-    """Theil-Sen log n slopes of the rows of Y after removing each row's linear
-    rate; ns is a float array.  Returns log_slope_fit's (slopes, window, maxima)."""
-    return log_slope_fit(ns, Y - np.asarray(rates, dtype=float)[:, None] * ns)
+    return out, ds
 
 
 def fit_growth_report(samples, closed_form=None):
@@ -164,7 +161,7 @@ def fit_growth_report(samples, closed_form=None):
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sample indices must be strictly increasing")
     ys = [v for _, v in pairs]
-    exp_rate, poly_rate, diag = _fit_streams(ns, [ys])[0]
+    exp_rate, poly_rate, diag = _fit_streams(ns, [ys])[0][0]
     return GrowthReport(
         samples=tuple(pairs),
         exp_rate=float(exp_rate),
@@ -206,7 +203,7 @@ class _Stream:
         todo = [t for t in dict.fromkeys(self._grid + tuple(ts)) if t not in self._fits]
         if any(t in todo for t in ts):
             rows = [self.log_row(t) for t in todo]
-            self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, rows))))
+            self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, rows)[0])))
         return [self._fits[t] for t in ts]
 
 
@@ -215,16 +212,10 @@ class MassStream(_Stream):
 
     _grid = DEFAULT_T_GRID  # callers ask for one t at a time; the grid is one batch
 
-    def __init__(self, triple, seed, n_max=4096, schedule=None):
+    def __init__(self, triple, seed, n_max=4096):
         triple.require_verified()
         self.triple = triple
-        if schedule is None:
-            ns = default_schedule(n_max)
-        else:
-            ns = sorted({int(n) for n in schedule})
-            if not ns or ns[0] < 1:
-                raise ValueError("schedule entries must be >= 1")
-        self.ns = ns
+        self.ns = ns = default_schedule(n_max)
         Z = triple.sigma.Z
         charges, phases = [], []
         for d in seed.factors:
@@ -311,12 +302,12 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
 
     The linear term is the closed-form log rho(M_g) when the image spans
     (flagged in the diagnostics), otherwise the fitted rate.  The d/n term
-    of joint_rate_fit goes too, as in _fit_streams.
+    that _fit_streams fits goes too.
     """
     stream = MassStream(triple, seed, n_max=n_max)
     ys = stream.log_mass(t)
     ns = np.asarray(stream.ns, dtype=float)
-    exp_rate, _, diag = _fit_streams(ns, [ys])[0]
+    ((exp_rate, _, diag),), (d,) = _fit_streams(ns, [ys])
     closed = None
     if triple.spanning and t == 0.0:
         closed = (stream.record.log_rho, float(stream.record.jordan))
@@ -326,12 +317,10 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
         rate_used = exp_rate
         source = "fitted"
     if diag.get("structure") == "linear_plus_periodic" and abs(rate_used - exp_rate) < 1e-9:
-        poly = 0.0
-        window, max_slope = diag.get("window"), 0.0
+        poly, window, max_slope = 0.0, diag.get("window"), 0.0
     else:
-        # the same d/n term _fit_streams removes, so a Jordan block reads its rate
-        _, (d,), _, _ = joint_rate_fit(ns, ys[None])
-        (poly,), window, (max_slope,) = _poly_rate_about(ns, (ys - d / ns)[None], [rate_used])
+        # the d/n term goes first, so a Jordan block reads its rate
+        (poly,), window, (max_slope,) = log_slope_fit(ns, (ys - d / ns)[None] - rate_used * ns)
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys.tolist())),
         exp_rate=float(exp_rate),
@@ -420,7 +409,7 @@ def _pol_shifts(record, seed, n_max):
               if base.diagnostics[side].get("structure") != "linear_plus_periodic"]
     pols = [0.0, 0.0]
     if fitted:
-        slopes = _poly_rate_about(ns, phis[fitted], [nus[r] for r in fitted])[0]
+        slopes = log_slope_fit(ns, phis[fitted] - np.array([nus[r] for r in fitted])[:, None] * ns)[0]
         for r, slope in zip(fitted, slopes):
             pols[r] = slope
     nu_pol_up, nu_pol_lo = pols

@@ -220,14 +220,6 @@ def test_growth_fits_a_custom_t_grid_in_one_batch(tmp_path, capsys, monkeypatch)
     assert batches[1:] == [len(growth.DEFAULT_T_GRID)]
 
 
-def test_growth_linear_schedule(tmp_path, capsys):
-    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
-    assert main(["growth", path, "--n-max", "512", "--t-grid", "0",
-                 "--schedule", "linear"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["reports"][0]["exp_rate"] == pytest.approx(math.log(GOLDEN2), abs=1e-3)
-
-
 def test_growth_default_seed_skips_zero_charge(tmp_path, capsys):
     # the (0, 1) entry of the weak intersection-0 triple has zero charge
     triple = scenarios.run_scenario("weak", intersection_number=0.0).triple
@@ -414,6 +406,26 @@ def test_huge_central_charge_is_input_error(tmp_path, capsys, sub, scale):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("nan", "argument --t-grid: weights must be finite, got nan"),
+        ("inf", "argument --t-grid: weights must be finite, got inf"),
+        ("1,nan", "argument --t-grid: weights must be finite, got 1,nan"),
+        ("-1e308", "t grid overflows float arithmetic: overflow encountered in multiply"),
+    ],
+)
+def test_non_finite_or_overflowing_weight_is_input_error(tmp_path, capsys, grid, message):
+    # nan exited 0 with an all-NaN report; inf and -1e308 leaked numpy warnings
+    payload = hyperbolic_triple_payload()
+    payload["g"]["f0"] += 2.0  # phases drift by 2 per step, so t phi overflows
+    path = write(tmp_path / "t.json", payload)
+    assert main(["growth", path, "--t-grid=" + grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
 def test_huge_finite_matrix_is_input_error_without_warnings(tmp_path):
     # a cold process, so a numpy RuntimeWarning would reach stderr
     payload = hyperbolic_triple_payload()
@@ -434,11 +446,34 @@ def test_flags_attach_only_where_they_are_read(tmp_path, capsys):
                  ["check-triple", path, "--t-grid", "0"],
                  ["scenario", "curve", "--tol", "1e-6"],
                  ["scenario", "curve", "--schedule", "geom"],
-                 ["scenario", "curve", "--genus-class", "zero"]):
+                 ["scenario", "curve", "--genus-class", "zero"],
+                 ["growth", path, "--schedule", "linear"],
+                 ["growth", path, "--schedule", "geom"],
+                 ["scenario", "coh1", "--degL", "3"],
+                 ["scenario", "curve", "--p1", "0.3"],
+                 ["scenario", "ginzburg", "--n-max", "64"],
+                 ["scenario", "pseudo-anosov", "--m", "1"]):
         assert main(argv) == 2, argv
     capsys.readouterr()
-    assert main(["growth", path, "--n-max", "64", "--schedule", "linear", "--t-grid", "0",
-                 "--tol", "1e-9"]) == 0
+    assert main(["growth", path, "--n-max", "64", "--t-grid", "0", "--tol", "1e-9"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["growth", "{path}", "--schedule", "linear"], "unrecognized arguments: --schedule linear"),
+        (["scenario", "coh1", "--degL", "3"], "scenario coh1 takes no --degL"),
+        (["scenario", "coh1", "--degL", "3", "--p1", "0.9"], "scenario coh1 takes no --degL, --p1"),
+        (["scenario", "ginzburg", "--n-max", "64"], "scenario ginzburg takes no --n-max"),
+        (["scenario", "pseudo-anosov", "--m", "1"], "scenario pseudo-anosov takes no --m"),
+    ],
+)
+def test_a_flag_that_is_not_read_is_one_input_error_line(tmp_path, capsys, argv, message):
+    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
 
 
 # --- scenario ---------------------------------------------------------------------------

@@ -526,6 +526,22 @@ def test_lift_rejects_non_finite_entries():
         lift_from([[1.0, float("nan")], [0.0, 1.0]], 0.0)
 
 
+@pytest.mark.parametrize(
+    "m, f0, message",
+    [
+        (((math.inf, 0.0), (0.0, 1.0)), 0.0, "m = [[inf, 0.0], [0.0, 1.0]] is not finite"),
+        (((1.0, 0.0), (float("nan"), 1.0)), 0.0, "m = [[1.0, 0.0], [nan, 1.0]] is not finite"),
+        (((1.0, 0.0), (0.0, 1.0)), math.inf, "f0 = inf is not finite"),
+        (((1.0, 0.0), (0.0, 1.0)), float("nan"), "f0 = nan is not finite"),
+    ],
+)
+def test_cover_element_rejects_non_finite_entries(m, f0, message):
+    # an infinite entry used to reach power() and fail there on a NaN-to-int conversion
+    with pytest.raises(ValueError) as err:
+        GL2TildeElem(m=m, f0=f0)
+    assert str(err.value) == message
+
+
 def test_lift_rejects_a_non_finite_determinant():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

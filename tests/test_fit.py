@@ -151,14 +151,14 @@ def test_log_slope_fit_matches_the_reference_fit():
 @pytest.mark.parametrize("n_max", [4096, 2**20])
 def test_batched_fit_equals_each_row_alone(n_max):
     ns, Y = _family_streams(n_max)
-    batch = _fit_streams(ns, Y)
+    batch, _ = _fit_streams(ns, Y)
     structures = {diag["structure"] for _, _, diag in batch}
     assert structures == {"linear_plus_periodic", "fit"}
     for row, got in zip(Y, batch):
-        want = _fit_streams(ns, [row])[0]
+        want = _fit_streams(ns, [row])[0][0]
         assert repr(got) == repr(want)
     # a list-of-lists batch reads its periodic numbers as Python floats
-    listed = _fit_streams(ns.astype(int).tolist(), Y.tolist())
+    listed, _ = _fit_streams(ns.astype(int).tolist(), Y.tolist())
     for got, want in zip(listed, batch):
         assert got == want and type(got[0]) is float
         assert all(type(v) is not np.float64 for v in got[2].values())
@@ -179,7 +179,7 @@ def test_one_over_n_column_takes_a_jordan_tail():
     rates, inv, _, _ = joint_rate_fit(ns, Y)
     assert rates == pytest.approx([0.0, 0.5], abs=1e-12)
     assert inv == pytest.approx([40.0, -25.0], rel=1e-9)
-    (_, poly, _), (_, poly2, _) = _fit_streams(ns, Y)
+    ((_, poly, _), (_, poly2, _)), _ = _fit_streams(ns, Y)
     assert poly == pytest.approx(2.0, abs=1e-9) and poly2 == pytest.approx(1.0, abs=1e-9)
 
 

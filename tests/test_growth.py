@@ -645,6 +645,26 @@ def test_pol_mass_growth_removes_the_one_over_n_term():
             assert abs(rep.poly_rate - 1.0) <= 1e-6, (t.g.m, n_max, rep.poly_rate)
 
 
+def test_pol_mass_growth_fits_its_row_once(monkeypatch):
+    # the d/n coefficient comes with the stream fit, not from a second joint fit
+    calls = []
+    fit = growth.joint_rate_fit
+
+    def counting(ns, Y, *args):
+        calls.append(len(Y))
+        return fit(ns, Y, *args)
+
+    monkeypatch.setattr(growth, "joint_rate_fit", counting)
+    rng = np.random.default_rng(11)
+    triples = [families.compatible_triple(rng, rank=r, kind="parabolic") for r in (2, 3, 4)]
+    for t in triples + [curve_triple(3, m=1)]:
+        for x in (0.0, 1.0):
+            calls.clear()
+            rep = pol_mass_growth(t, families.seed_object(t), t=x, n_max=2**14)
+            assert rep.diagnostics["structure"] == "fit"
+            assert calls == [1]
+
+
 def test_pol_mass_growth_has_no_parabolic_drift_at_two_to_the_twenty():
     # renormalized repeated squaring lost the Jordan structure of these
     # elements: 13 of the 60 rates drifted beyond 0.2 at n_max = 2^20
@@ -673,7 +693,7 @@ def test_mass_growth_through_a_shared_stream_equals_a_private_stream():
             assert repr(shared) == repr(mass_growth(t, seed, t=x, n_max=4096))
             row = stream.log_mass(x)
             assert [v for _, v in shared.samples] == row.tolist()
-            want = growth._fit_streams(stream.ns, [row])[0]
+            want = growth._fit_streams(stream.ns, [row])[0][0]
             assert repr((shared.exp_rate, shared.poly_rate)) == repr((float(want[0]), float(want[1])))
             assert repr(shared.diagnostics) == repr(dict(want[2], t=x))
 
@@ -842,7 +862,8 @@ def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):
             # the same numbers from a separate evaluation on the default schedule
             ns = np.array(default_schedule(n_max))
             ref = phase(record, top_bottom, ns[None, :])
-            slopes = growth._poly_rate_about(ns.astype(float), ref, [base.nu_upper, base.nu_lower])[0]
+            x, nus = ns.astype(float), np.array([base.nu_upper, base.nu_lower])
+            slopes = _fit.log_slope_fit(x, ref - nus[:, None] * x)[0]
             for side, got, want in zip(("upper", "lower"), (pol.nu_upper, pol.nu_lower), slopes):
                 if base.diagnostics[side]["structure"] != "linear_plus_periodic":
                     assert got == want
