@@ -105,7 +105,7 @@ def _fit_streams(ns, Y):
     """([(exp_rate, poly_rate, diagnostics)], [d]) for the rows of Y, all on schedule ns.
 
     Detection first; otherwise joint least squares for the linear rate and
-    the d/n coefficient d (0 on a periodic row), and a Theil-Sen log n slope
+    the d/n coefficient d (None on a periodic row), and a Theil-Sen log n slope
     of y - d/n - rate n (with a max-of-suffix-windows diagnostic) for the
     polynomial rate.  Each stage runs once over all rows.  Y is a 2-D array
     or a list of rows; the periodic numbers read off a row keep its type.
@@ -113,7 +113,7 @@ def _fit_streams(ns, Y):
     ns = np.asarray(ns, dtype=float)
     detected = _detect_linear_periodic(ns, Y)
     Y = np.asarray(Y, dtype=float)
-    out, ds = [None] * len(Y), [0.0] * len(Y)
+    out, ds = [None] * len(Y), [None] * len(Y)
     periodic = [r for r, d in enumerate(detected) if d is not None]
     if periodic:
         # deviations are exactly periodic, so the log n rate is zero
@@ -302,8 +302,7 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
 
     The linear term is the closed-form log rho(M_g) when the image spans
     (flagged in the diagnostics), otherwise the fitted rate.  The d/n term
-    that _fit_streams fits goes too.
-    """
+    of _fit_streams goes too (fitted here on a periodic row, which has none)."""
     stream = MassStream(triple, seed, n_max=n_max)
     ys = stream.log_mass(t)
     ns = np.asarray(stream.ns, dtype=float)
@@ -320,6 +319,7 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
         poly, window, max_slope = 0.0, diag.get("window"), 0.0
     else:
         # the d/n term goes first, so a Jordan block reads its rate
+        d = joint_rate_fit(ns, ys[None])[1][0] if d is None else d
         (poly,), window, (max_slope,) = log_slope_fit(ns, (ys - d / ns)[None] - rate_used * ns)
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys.tolist())),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -663,6 +664,40 @@ def test_pol_mass_growth_fits_its_row_once(monkeypatch):
             rep = pol_mass_growth(t, families.seed_object(t), t=x, n_max=2**14)
             assert rep.diagnostics["structure"] == "fit"
             assert calls == [1]
+
+
+def test_pol_mass_growth_fits_the_d_term_of_a_periodic_row_about_another_rate(monkeypatch):
+    # a periodic row whose closed form differs from its detected rate gets its
+    # d/n coefficient from a joint fit of its own: _fit_streams fits none there
+    calls = []
+    fit = growth.joint_rate_fit
+
+    def counting(ns, Y, *args):
+        calls.append(len(Y))
+        return fit(ns, Y, *args)
+
+    class OffRate(MassStream):
+        # the masses as computed, under a closed form 1e-6 off their rate
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.record = replace(self.record, log_rho=self.record.log_rho + 1e-6)
+
+    monkeypatch.setattr(growth, "joint_rate_fit", counting)
+    monkeypatch.setattr(growth, "MassStream", OffRate)
+    rng = np.random.default_rng(700)
+    for rank in (2, 3, 4):
+        t = families.compatible_triple(rng, rank=rank, kind="hyperbolic")
+        calls.clear()
+        rep = pol_mass_growth(t, families.seed_object(t), n_max=2**14)
+        assert t.spanning and rep.diagnostics["structure"] == "linear_plus_periodic"
+        assert calls == [1]
+        stream = OffRate(t, families.seed_object(t), n_max=2**14)
+        ys, ns = stream.log_mass(0.0), np.array(stream.ns, dtype=float)
+        _, (d,), _, _ = fit(ns, ys[None])
+        rate = rep.diagnostics["rate_subtracted"]
+        assert rate == stream.record.log_rho and abs(rate - rep.exp_rate) > 9e-7
+        (want,), window, _ = _fit.log_slope_fit(ns, (ys - d / ns)[None] - rate * ns)
+        assert (rep.poly_rate, rep.diagnostics["poly_window"]) == (want, window)
 
 
 def test_pol_mass_growth_has_no_parabolic_drift_at_two_to_the_twenty():
