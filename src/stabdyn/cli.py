@@ -7,6 +7,7 @@ significant digits and keys are sorted before serialization.
 """
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import cover, families, growth, metric, scenarios, stability
-from .errors import StabDynError
+from .errors import NonIntegralAction, PreconditionViolated, StabDynError
 from .lattice import IntMatrix, spectral_data
 
 EXIT_OK = 0
@@ -66,14 +67,22 @@ def _parse_matrix_file(path):
     return IntMatrix(tuple(tuple(stability.json_int(x, "matrix") for x in row) for row in data))
 
 
+@contextlib.contextmanager
+def _float_range(subject):
+    """Overflow in the block is an input error: numpy float errors raise,
+    and they or an OverflowError become a ValueError naming the subject."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except (OverflowError, FloatingPointError) as exc:
+            raise ValueError("%s overflows float arithmetic: %s" % (subject, exc)) from None
+
+
 def _parse_triple_file(path, tol):
     data = _load_json(path)
     # charges near the float range overflow in the checks: the input is at fault
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            return _read_triple(data, tol)
-        except (OverflowError, FloatingPointError) as exc:
-            raise ValueError("triple data overflows float arithmetic: %s" % exc) from None
+    with _float_range("triple data"):
+        return _read_triple(data, tol)
 
 
 def _read_triple(data, tol):
@@ -102,7 +111,8 @@ def _read_triple(data, tol):
 
 def cmd_spectral(args):
     A = _parse_matrix_file(args.input)
-    data = spectral_data(A, tol=args.tol)
+    with _float_range("matrix"):
+        data = spectral_data(A, tol=args.tol)
     if args.format == "text":
         lines = [
             "dim %d" % A.dim,
@@ -141,13 +151,10 @@ def cmd_growth(args):
     seed = seed or families.seed_object(triple)
     t_grid = args.t_grid
     # a weight near the float range overflows the weighted masses: the input is at fault
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            stream = growth.MassStream(triple, seed, n_max=args.n_max)
-            stream.fits(t_grid)  # the whole grid in one batch
-            reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
-        except FloatingPointError as exc:
-            raise ValueError("t grid overflows float arithmetic: %s" % exc) from None
+    with _float_range("t grid"):
+        stream = growth.MassStream(triple, seed, n_max=args.n_max)
+        stream.fits(t_grid)  # the whole grid in one batch
+        reports = [growth.mass_growth(triple, seed, t=t, stream=stream) for t in t_grid]
     if args.format == "csv":
         if len(t_grid) == 1:
             lines = ["n,value"]
@@ -194,7 +201,10 @@ def cmd_scenario(args):
     foreign = [args.flags[k] for k in kwargs if k not in takes]
     if foreign:
         raise ValueError("scenario %s takes no %s" % (args.name, ", ".join(foreign)))
-    rep = scenarios.run_scenario(args.name, **kwargs)
+    try:
+        rep = scenarios.run_scenario(args.name, **kwargs)
+    except (PreconditionViolated, NonIntegralAction) as exc:
+        raise ValueError(str(exc)) from None  # the defaults raise neither: a flag is at fault
     if args.format == "text":
         _emit("\n".join(rep.text_lines()) + "\n", args.out)
     elif args.format == "csv":
@@ -214,7 +224,10 @@ def cmd_scenario(args):
 
 
 def _parse_t_grid(text):
-    grid = tuple(float(x) for x in text.split(","))
+    try:
+        grid = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated numbers, got %s" % text) from None
     if not all(map(math.isfinite, grid)):
         raise argparse.ArgumentTypeError("weights must be finite, got %s" % text)
     return grid
@@ -222,7 +235,10 @@ def _parse_t_grid(text):
 
 def _parse_matrix(text):
     """Integer rows "a,b;c,d" as a tuple of tuples."""
-    return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+    try:
+        return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+    except ValueError:
+        raise argparse.ArgumentTypeError('expected integer rows "a,b;c,d", got %s' % text) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,8 +254,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *flags, needs_input=True):
-        """--format and --out, plus the named flags the handler reads."""
+    def common(p, *flags, needs_input=True, formats=("json", "text", "csv")):
+        """--format (the formats the handler writes) and --out, plus the
+        named flags the handler reads."""
         if needs_input:
             p.add_argument("input", help="JSON input file")
         if "tol" in flags:
@@ -249,15 +266,15 @@ def build_parser():
         if "t_grid" in flags:
             p.add_argument("--t-grid", dest="t_grid", type=_parse_t_grid,
                            default=growth.DEFAULT_T_GRID)
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("spectral", help="exact spectral data of an integer matrix")
-    common(p, "tol")
+    common(p, "tol", formats=("json", "text"))
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("check-triple", help="verify a compatibility triple")
-    common(p, "tol")
+    common(p, "tol", formats=("json", "text"))
     p.set_defaults(func=cmd_check_triple)
 
     p = sub.add_parser("growth", help="mass growth along the iteration")

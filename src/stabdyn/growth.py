@@ -8,16 +8,19 @@ without overflow and without drift.  The stages of one public call share
 that record.  Mass streams and Hom tables are both growth streams: a log row
 per weight t on a schedule, and one fits(ts) that fits the missing rows in
 one batch and keeps every fit, so a t grid asked of one stream is fitted
-once.
+once.  The shifting numbers are two more rows of the same fit: the extreme
+phases of the seed on the default schedule, whose rates are nu+- and whose
+polynomial rates are nu_pol+-, each side with its row's diagnostics.
 
 Rate extraction runs in two stages.  The dense prefix 1..SEQ_PREFIX of the
 default schedule is scanned for exact linear-plus-periodic structure
 (finite-order matrix parts produce exactly periodic deviations, whose
 bounded wobble would otherwise bias any log n slope fit); when found, the
 linear rate is read off exactly and the polynomial rate is zero.  Otherwise
-rates come from least-squares / Theil-Sen fits over the declared geometric
-tail window.  Every stage runs once over all the streams that share a
-schedule, such as the t grid of one mass stream.
+the linear rate and a d/n term come from a least-squares fit over the
+declared geometric tail window, and the polynomial rate from a Theil-Sen
+log n slope of what they leave.  Every stage runs once over all the rows
+that share a schedule, such as the t grid of one mass stream.
 """
 
 import functools
@@ -349,78 +352,39 @@ class ShiftingNumbers(Report):
     diagnostics: dict
 
 
-def _nu_estimates(phis, n_max):
-    """[(nu, structure)] for the rows of phis, the phases of orbits at
-    n = 0..SEQ_PREFIX, n_max // 2 and n_max; one detector pass for all rows."""
-    out = []
-    detected = _detect_linear_periodic(np.arange(SEQ_PREFIX + 1.0), phis[:, : SEQ_PREFIX + 1])
-    for row, d in zip(phis, detected):
-        if d is not None:
-            out.append((d[0], {"structure": "linear_plus_periodic", "period": d[1]}))
-        else:
-            nu = (row[-1] - row[-2]) / (n_max - n_max // 2)
-            out.append((nu, {"structure": "two_scale", "n_max": n_max}))
-    return out
-
-
 def shifting_numbers(triple, seed, n_max=2**16):
     """Linear phase drift of the extreme factor phases of the seed."""
     triple.require_verified()
     return _shifts(cover.power_record(triple.g), seed, n_max)[0]
 
 
-def _shifts(record, seed, n_max, extra=()):
-    """(shifting_numbers, phases) from the power record of g: the extreme
-    phases, a row each, at n = 0..SEQ_PREFIX, n_max // 2, n_max, then extra."""
-    ns = list(range(SEQ_PREFIX + 1)) + [n_max // 2, n_max] + list(extra)
-    phis = record.phase(np.array(stability.phases(seed))[:, None], np.array(ns)[None, :])
-    (nu_up, d_up), (nu_lo, d_lo) = _nu_estimates(phis[:, : SEQ_PREFIX + 3], n_max)
-    tau = record.tau
-    return ShiftingNumbers(
-        nu_upper=float(nu_up),
-        nu_lower=float(nu_lo),
-        translation=float(tau),
-        diagnostics={
-            "upper": d_up,
-            "lower": d_lo,
-            "upper_vs_translation": abs(nu_up - tau),
-            "spread": abs(nu_up - nu_lo),
-        },
-    ), phis
-
-
 def pol_shifting_numbers(triple, seed, n_max=2**16):
     """Log n rates of the phase deviations, plus the sublinearity check."""
     triple.require_verified()
-    return _pol_shifts(cover.power_record(triple.g), seed, n_max)[1]
+    return _shifts(cover.power_record(triple.g), seed, n_max)[1]
 
 
-def _pol_shifts(record, seed, n_max):
-    """(shifting_numbers, pol_shifting_numbers) from one evaluation of the
-    extreme phases: _shifts evaluates them on the default schedule too."""
+def _shifts(record, seed, n_max):
+    """(shifting_numbers, pol_shifting_numbers) from the power record of g.
+
+    The extreme phases of the seed are two growth rows on the default
+    schedule, evaluated at once and fitted in one _fit_streams batch: nu+-
+    are their rates, nu_pol+- their polynomial rates, and each side carries
+    its row's diagnostics."""
     top, bottom = stability.phases(seed)
-    sched = _default_schedule(n_max)
-    k = min(SEQ_PREFIX, n_max)  # sched is 1..k, then the points above SEQ_PREFIX
-    base, phis = _shifts(record, seed, n_max, sched[k:])
-    phis = np.concatenate([phis[:, 1 : k + 1], phis[:, SEQ_PREFIX + 3 :]], axis=1)
-    ns = np.array(sched, dtype=float)
-    nus = [base.nu_upper, base.nu_lower]
-    fitted = [r for r, side in enumerate(("upper", "lower"))
-              if base.diagnostics[side].get("structure") != "linear_plus_periodic"]
-    pols = [0.0, 0.0]
-    if fitted:
-        slopes = log_slope_fit(ns, phis[fitted] - np.array([nus[r] for r in fitted])[:, None] * ns)[0]
-        for r, slope in zip(fitted, slopes):
-            pols[r] = slope
-    nu_pol_up, nu_pol_lo = pols
+    ns = _default_schedule(n_max)
+    phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
+    (up, lo), _ = _fit_streams(ns, phis)
+    tau = record.tau
+    base = ShiftingNumbers(
+        nu_upper=float(up[0]), nu_lower=float(lo[0]), translation=float(tau),
+        diagnostics={"upper": up[2], "lower": lo[2], "upper_vs_translation": abs(up[0] - tau),
+                     "spread": abs(up[0] - lo[0])})
     top_n, bottom_n = phis[:, -1].tolist()
     sublinearity = (top_n - bottom_n - (top - bottom)) / math.log(ns[-1])
     return base, ShiftingNumbers(
-        nu_upper=float(nu_pol_up),
-        nu_lower=float(nu_pol_lo),
-        translation=base.translation,
-        diagnostics={"linear": base, "sublinearity": sublinearity},
-    )
+        nu_upper=float(up[1]), nu_lower=float(lo[1]), translation=base.translation,
+        diagnostics={"linear": base, "sublinearity": sublinearity})
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +488,7 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     t_grid, rates, record = _grid_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts, pol_shifts = _pol_shifts(record, seed, max(n_max, 2**14))
+    shifts, pol_shifts = _shifts(record, seed, max(n_max, 2**14))
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import inspect
 import json
@@ -476,6 +477,51 @@ def test_a_flag_that_is_not_read_is_one_input_error_line(tmp_path, capsys, argv,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["growth", "{path}", "--t-grid", "a"],
+         "argument --t-grid: expected comma-separated numbers, got a"),
+        (["scenario", "pseudo-anosov", "--matrix", "2,x;1,1"],
+         'argument --matrix: expected integer rows "a,b;c,d", got 2,x;1,1'),
+        (["spectral", "{path}", "--format", "csv"], None),
+        (["check-triple", "{path}", "--format", "csv"], None),
+    ],
+    ids=["t-grid", "matrix", "spectral-csv", "check-triple-csv"],
+)
+def test_a_usage_error_says_what_was_expected(tmp_path, capsys, argv, message):
+    # csv was accepted by spectral and check-triple, which wrote JSON; the
+    # wording of a refused choice is argparse's own and varies with Python
+    if message is None:
+        probe = argparse.ArgumentParser(exit_on_error=False)
+        probe.add_argument("--format", choices=("json", "text"))
+        with pytest.raises(argparse.ArgumentError) as refused:
+            probe.parse_args(["--format", "csv"])
+        message = str(refused.value)
+    path = write(tmp_path / "t.json", hyperbolic_triple_payload())
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[10**400, 0], [0, 1]], "int too large to convert to float"),
+        ([[10**200, 1], [1, 1]], "(34, 'Numerical result out of range')"),
+    ],
+    ids=["int-to-float", "root-residual"],
+)
+def test_spectral_overflow_is_input_error(tmp_path, capsys, matrix, message):
+    # both leaked a raw OverflowError traceback
+    path = write(tmp_path / "m.json", matrix)
+    assert main(["spectral", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: matrix overflows float arithmetic: %s\n" % message
+    assert captured.out == ""
+
+
 # --- scenario ---------------------------------------------------------------------------
 
 
@@ -490,6 +536,26 @@ def test_scenario_ginzburg_negative_is_exit_zero(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["all_passed"] is True
     assert out["triple"]["verified"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ginzburg", "--d", "2"], "the construction needs an odd shift parameter >= 3"),
+        (["ginzburg", "--p1", "0.9", "--p2", "0.1"], "phases must satisfy 0 < phase1 < phase2 < 1"),
+        (["coh1", "--lambda", "0.5"],
+         "the divisor eigenvalue must be a positive integer: rescaling coordinates cannot "
+         "make a non-integer eigenvalue integral"),
+        (["pseudo-anosov", "--matrix", "1,1;0,2"], "the action matrix must have determinant one"),
+    ],
+    ids=["ginzburg-d", "ginzburg-phases", "coh1-lambda", "pseudo-anosov-det"],
+)
+def test_a_scenario_flag_that_fails_a_precondition_is_input_error(capsys, argv, message):
+    # each exited 3 as a numerical failure
+    assert main(["scenario"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
 
 
 def test_scenario_unknown_name():

@@ -234,6 +234,42 @@ def test_pol_shifting_numbers_vanish():
         assert abs(pol.diagnostics["sublinearity"]) <= 0.05
 
 
+def test_parabolic_shifting_numbers_take_out_the_1_over_n_term():
+    # a parabolic phase row is n tau + c - 1/(kappa n) + ...; the fit's 1/n
+    # column removes the last term, which a two-scale difference keeps
+    for i in range(10):
+        rng = np.random.default_rng(i)
+        for rank in range(2, 7):
+            t = families.compatible_triple(rng, rank=rank, kind="parabolic",
+                                           shift=int(rng.integers(-2, 3)))
+            for n_max in (2**14, 2**16):
+                pol = pol_shifting_numbers(t, families.seed_object(t), n_max=n_max)
+                base = pol.diagnostics["linear"]
+                assert abs(base.nu_upper - base.translation) <= 1e-10
+                assert abs(base.nu_lower - base.translation) <= 1e-10
+                assert abs(pol.nu_upper) <= 1e-6
+                assert abs(pol.nu_lower) <= 1e-6
+
+
+def test_shifting_numbers_state_their_branch_and_window():
+    periodic = shifting_numbers(shift_triple(2), seed_of(shift_triple(2)))
+    rng = np.random.default_rng(3)
+    t = families.compatible_triple(rng, rank=2, kind="parabolic", shift=1)
+    fitted = shifting_numbers(t, seed_of(t))
+    for side in ("upper", "lower"):
+        diag = periodic.diagnostics[side]
+        assert diag["structure"] == "linear_plus_periodic"
+        assert diag["period"] >= 1
+        assert diag["window"] == (8192.0, 65536.0)
+    sides = [fitted.diagnostics[side] for side in ("upper", "lower")]
+    assert "fit" in [diag["structure"] for diag in sides]
+    for diag in sides:
+        assert diag["window"] == (8192.0, 65536.0)
+        if diag["structure"] == "fit":
+            assert diag["fit_residual"] >= 0.0
+            assert diag["poly_window"][1] == 65536.0
+
+
 # --- Hom tables -------------------------------------------------------------------
 
 
@@ -568,7 +604,7 @@ def test_a_t_grid_is_fitted_in_one_batch(monkeypatch, suite, t_grid):
             suite(t, seed_of(t), t_grid=t_grid, n_max=1024)
         batch = len(set(t_grid) | set(DEFAULT_T_GRID))  # a stream fits the default grid along
         assert sorted(rows["detect"]) == sorted([batch, 2])
-        assert len(rows["suffix"]) <= (2 if suite is yomdin_suite else 1)
+        assert len(rows["suffix"]) <= 2
         assert all(k <= batch for k in rows["suffix"])
         whole_grids += batch in rows["suffix"]
     assert whole_grids >= 2  # the parabolic triples fit every t in one suffix pass
@@ -794,10 +830,11 @@ def test_a_table_fits_only_the_asked_ts_and_a_mass_stream_the_grid_along(monkeyp
 @pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, (0.25, -1.0)], ids=["grid7", "grid2"])
 def test_a_table_grid_is_fitted_in_one_batch(monkeypatch, t_grid):
     # with a table, the mass stream and the table each fit the grid in one
-    # batch (the parent ran 9 and 8 batches on the default grid), and every
-    # entropy is that of entropy_from_hom on a fresh table
+    # batch (the parent ran 9 and 8 batches on the default grid), the two
+    # extreme phases are one batch between them, and every entropy is that
+    # of entropy_from_hom on a fresh table
     grid = sorted(set(t_grid) | {0.0})
-    sizes = [len(set(grid) | set(DEFAULT_T_GRID)), len(grid)]
+    sizes = [len(set(grid) | set(DEFAULT_T_GRID)), 2, len(grid)]
     want = [entropy_from_hom(p1_table(2048), x).exp_rate for x in grid]
     rng = np.random.default_rng(107)
     triples = [curve_triple(1, m=0), families.compatible_triple(rng, rank=2, kind="parabolic")]
@@ -897,11 +934,11 @@ def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):
             # the same numbers from a separate evaluation on the default schedule
             ns = np.array(default_schedule(n_max))
             ref = phase(record, top_bottom, ns[None, :])
-            x, nus = ns.astype(float), np.array([base.nu_upper, base.nu_lower])
-            slopes = _fit.log_slope_fit(x, ref - nus[:, None] * x)[0]
-            for side, got, want in zip(("upper", "lower"), (pol.nu_upper, pol.nu_lower), slopes):
-                if base.diagnostics[side]["structure"] != "linear_plus_periodic":
-                    assert got == want
+            want = growth._fit_streams(ns, ref)[0]
+            for side, (rate, poly, diag) in zip(("upper", "lower"), want):
+                assert getattr(base, "nu_" + side) == rate
+                assert getattr(pol, "nu_" + side) == poly
+                assert base.diagnostics[side] == diag
             top_n, bottom_n = ref[:, -1].tolist()
             spread = top_bottom[0, 0] - top_bottom[1, 0]
             assert pol.diagnostics["sublinearity"] == (top_n - bottom_n - spread) / math.log(n_max)
