@@ -236,7 +236,7 @@ def test_pol_shifting_numbers_vanish():
 
 def test_parabolic_shifting_numbers_take_out_the_1_over_n_term():
     # a parabolic phase row is n tau + c - 1/(kappa n) + ...; the fit's 1/n
-    # column removes the last term, which a two-scale difference keeps
+    # column removes the last term, which would otherwise bias nu and nu_pol
     for i in range(10):
         rng = np.random.default_rng(i)
         for rank in range(2, 7):
@@ -252,7 +252,8 @@ def test_parabolic_shifting_numbers_take_out_the_1_over_n_term():
 
 
 def test_shifting_numbers_state_their_branch_and_window():
-    periodic = shifting_numbers(shift_triple(2), seed_of(shift_triple(2)))
+    t = shift_triple(2)
+    periodic = shifting_numbers(t, seed_of(t))
     rng = np.random.default_rng(3)
     t = families.compatible_triple(rng, rank=2, kind="parabolic", shift=1)
     fitted = shifting_numbers(t, seed_of(t))
