@@ -311,8 +311,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "tol", 1.0) <= 0.0:
             parser.error("tolerance must be positive")
-        if getattr(args, "n_max", None) is not None and args.n_max < 16:
+        n_max = getattr(args, "n_max", None)
+        if n_max is not None and n_max < 16:
             parser.error("n_max must be at least 16")
+        if n_max is not None and n_max >= 2**63:  # power exponents are int64
+            parser.error("--n-max must be below 2^63, got %d" % n_max)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

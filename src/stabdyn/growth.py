@@ -5,12 +5,13 @@ log-modulus of every factor's charge at every schedule point, and the phase
 of every factor, come from one vectorized call on the closed-form power
 record of g (cover.PowerRecord), so schedules reach n = 2^20 and beyond
 without overflow and without drift.  The stages of one public call share
-that record.  Mass streams and Hom tables are both growth streams: a log row
-per weight t on a schedule, and one fits(ts) that fits the missing rows in
-one batch and keeps every fit, so a t grid asked of one stream is fitted
-once.  The shifting numbers are two more rows of the same fit: the extreme
-phases of the seed on the default schedule, whose rates are nu+- and whose
-polynomial rates are nu_pol+-, each side with its row's diagnostics.
+that record; yomdin_suite and linearity_check share one evaluation of it.
+Mass streams and Hom tables are both growth streams: a log row per weight t
+on a schedule, and one fits(ts) that fits the missing rows in one batch and
+keeps every fit, so a t grid asked of one stream is fitted once.  The
+shifting numbers are two more rows of the same fit: the extreme phases of
+the seed on the default schedule, whose rates are nu+- and whose polynomial
+rates are nu_pol+-, each side with its row's diagnostics.
 
 Rate extraction runs in two stages.  The dense prefix 1..SEQ_PREFIX of the
 default schedule is scanned for exact linear-plus-periodic structure
@@ -20,7 +21,8 @@ linear rate is read off exactly and the polynomial rate is zero.  Otherwise
 the linear rate and a d/n term come from a least-squares fit over the
 declared geometric tail window, and the polynomial rate from a Theil-Sen
 log n slope of what they leave.  Every stage runs once over all the rows
-that share a schedule, such as the t grid of one mass stream.
+that share a schedule, such as the t grid of one mass stream, and reads the
+schedule's constants from its _fit.FitPlan, built once per schedule.
 """
 
 import functools
@@ -28,14 +30,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cover, stability
 from ._fit import (
+    DETECT_MAX_PERIOD,
+    fit_plan,
     geometric_schedule,
     joint_rate_fit,
     log_slope_fit,
-    tail_indices,
+    slope_pairs,
     theil_sen_slope,
 )
 from ._report import Report
@@ -43,8 +46,10 @@ from .errors import EmptyTable
 from .lattice import spectral_data as _lattice_spectral_data
 
 SEQ_PREFIX = 512  # dense schedule prefix scanned for structure
-DETECT_MAX_PERIOD = 48
 DETECT_TOL = 1e-9
+_LAGS = np.arange(1, DETECT_MAX_PERIOD + 1)  # the periods the detector tries
+SHIFT_N_MIN = 2**14  # yomdin_suite and linearity_check fit shifting numbers to at least this n
+WEIGHT_TOL = 1e-10  # the rate error a weight's rounding may cause (MassStream.log_rows)
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
@@ -65,37 +70,28 @@ class GrowthReport(Report):
 # structure detection and rate fitting
 
 
-def _consecutive_run(ns):
-    """(lo, hi) of the longest run of consecutive integers ns[lo:hi], the first on a tie."""
-    edges = np.concatenate(([0], np.flatnonzero(ns[1:] != ns[:-1] + 1) + 1, [len(ns)]))
-    k = int(np.argmax(edges[1:] - edges[:-1]))
-    return int(edges[k]), int(edges[k + 1])
-
-
-def _detect_linear_periodic(ns, rows):
+def _detect_linear_periodic(plan, rows):
     """Per row, (rate, period) when y(n+q) - y(n) is constant on a consecutive window.
 
-    Requires a consecutive integer block inside the schedule; a row gets None
-    when no exact period is found (e.g. genuine log n growth).  rows is a 2-D
-    array or a list of rows.  Every period of every row is screened on the
-    first window point; then each row's smallest open period is checked on
-    the whole window until one passes.  Each rate is read off its row, so it
-    keeps the row's type."""
-    lo, hi = _consecutive_run(np.asarray(ns, dtype=float))
-    if hi - lo < 2 * DETECT_MAX_PERIOD + 64:
+    The window is plan.detector, inside a consecutive integer block of the
+    schedule; a row gets None when no exact period is found (e.g. genuine
+    log n growth).  rows is a 2-D array or a list of rows.  Every period of
+    every row is screened on the first window point; then each row's
+    smallest open period is checked on the whole window until one passes.
+    Each rate is read off its row, so it keeps the row's type."""
+    if plan.detector is None:
         return [None] * len(rows)
-    window = min(160, (hi - lo) // 2)
-    block = np.asarray(rows, dtype=float)[:, hi - window - DETECT_MAX_PERIOD : hi]
-    now = block[:, DETECT_MAX_PERIOD:]  # y(n) on the window
-    lags = sliding_window_view(block, window, axis=1)  # [r, DETECT_MAX_PERIOD - q] = y(n - q)
-    ref = now[:, -1:] - lags[:, -2::-1, -1]  # [r, q - 1]: y(n) - y(n - q) at the last point
+    first, hi, behind = plan.detector
+    Y = np.asarray(rows, dtype=float)
+    now = Y[:, first:hi]  # y(n) on the window
+    ref = Y[:, hi - 1 : hi] - Y[:, hi - 1 - _LAGS]  # [r, q - 1]: y(n) - y(n - q) at the last point
     bound = DETECT_TOL * np.maximum(1.0, np.abs(ref))
-    open_ = np.abs(now[:, :1] - lags[:, -2::-1, 0] - ref) <= bound
-    periods = np.zeros(len(block), dtype=int)
+    open_ = np.abs(Y[:, first : first + 1] - Y[:, first - _LAGS] - ref) <= bound
+    periods = np.zeros(len(Y), dtype=int)
     while open_.any():
         r = np.flatnonzero(open_.any(axis=1))
         q = np.argmax(open_[r], axis=1)
-        diffs = now[r] - lags[r, DETECT_MAX_PERIOD - 1 - q]
+        diffs = now[r] - Y[r[:, None], behind - q[:, None]]  # y(n) - y(n - q - 1)
         ok = np.all(np.abs(diffs - ref[r, q, None]) <= bound[r, q, None], axis=1)
         periods[r[ok]] = q[ok] + 1
         open_[r[ok]] = False
@@ -110,17 +106,19 @@ def _fit_streams(ns, Y):
     Detection first; otherwise joint least squares for the linear rate and
     the d/n coefficient d (None on a periodic row), and a Theil-Sen log n slope
     of y - d/n - rate n (with a max-of-suffix-windows diagnostic) for the
-    polynomial rate.  Each stage runs once over all rows.  Y is a 2-D array
-    or a list of rows; the periodic numbers read off a row keep its type.
+    polynomial rate.  Each stage runs once over all rows, on the FitPlan of
+    ns.  Y is a 2-D array or a list of rows; the periodic numbers read off a
+    row keep its type.
     """
-    ns = np.asarray(ns, dtype=float)
-    detected = _detect_linear_periodic(ns, Y)
+    plan = fit_plan(ns)
+    ns = plan.ns
+    detected = _detect_linear_periodic(plan, Y)
     Y = np.asarray(Y, dtype=float)
     out, ds = [None] * len(Y), [None] * len(Y)
     periodic = [r for r, d in enumerate(detected) if d is not None]
     if periodic:
         # deviations are exactly periodic, so the log n rate is zero
-        tail = tail_indices(ns)
+        tail = plan.tail
         rates = np.array([detected[r][0] for r in periodic])
         spans = np.ptp(Y[periodic][:, tail] - rates[:, None] * ns[tail], axis=1)
         spans /= math.log(ns[tail[-1]])
@@ -135,9 +133,9 @@ def _fit_streams(ns, Y):
             })
     fitted = [r for r, d in enumerate(detected) if d is None]
     if fitted:
-        rates, inv, rms, window = joint_rate_fit(ns, Y[fitted])
+        rates, inv, rms, window = joint_rate_fit(plan, Y[fitted])
         slopes, win2, max_slopes = log_slope_fit(
-            ns, Y[fitted] - np.outer(inv, 1.0 / ns) - np.array(rates)[:, None] * ns)
+            plan, Y[fitted] - np.outer(inv, 1.0 / ns) - np.array(rates)[:, None] * ns)
         for i, r in enumerate(fitted):
             ds[r] = inv[i]
             out[r] = (rates[i], slopes[i], {
@@ -182,7 +180,19 @@ def default_schedule(n_max):
 
 @functools.lru_cache(maxsize=64)
 def _default_schedule(n_max):
+    if n_max >= 2**63:
+        raise ValueError("n_max = %d is not below 2^63, the range of the power exponents" % n_max)
     return tuple(sorted(set(range(1, min(SEQ_PREFIX, n_max) + 1)) | set(geometric_schedule(n_max))))
+
+
+@functools.lru_cache(maxsize=64)
+def _stream_schedule(n_max):
+    """(the join of default_schedule(n_max) and the shifting numbers'
+    default_schedule(max(n_max, SHIFT_N_MIN)) as an int64 array, the
+    positions of each in it)."""
+    own, shift = _default_schedule(n_max), _default_schedule(max(n_max, SHIFT_N_MIN))
+    both = np.array(sorted(set(own).union(shift)), dtype=np.int64)
+    return both, np.searchsorted(both, own), np.searchsorted(both, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -192,56 +202,77 @@ def _default_schedule(n_max):
 class _Stream:
     """A log row on the schedule ns for every weight t, and the fits so far.
 
-    A subclass supplies ns, log_row(t) and _fits = {}; _grid holds the ts a
-    miss fits along."""
+    A subclass supplies ns, log_rows(ts) (one log row per t) and _fits = {};
+    _grid holds the ts a miss fits along."""
 
     _grid = ()
 
     def fits(self, ts):
-        """[(log_row(t), (exp_rate, poly_rate, diagnostics))] for each t of ts.
+        """[(log row of t, (exp_rate, poly_rate, diagnostics))] for each t of ts.
         On a miss, every t of _grid and ts not fitted yet is fitted in one
         _fit_streams batch and kept; the fit stages are row-wise, so a row's
         fit does not depend on its batch."""
         ts = [float(t) for t in ts]
         todo = [t for t in dict.fromkeys(self._grid + tuple(ts)) if t not in self._fits]
         if any(t in todo for t in ts):
-            rows = [self.log_row(t) for t in todo]
+            rows = self.log_rows(todo)
             self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, rows)[0])))
         return [self._fits[t] for t in ts]
 
 
 class MassStream(_Stream):
-    """Per-factor log-moduli and phases of the iterated seed object, and its fits so far."""
+    """Per-factor log-moduli and phases of the iterated seed object, and its fits so far.
+
+    One record evaluation also gives the phases of the top and bottom factors
+    on the schedule of _grid_rates' shifting numbers, when both have charge."""
 
     _grid = DEFAULT_T_GRID  # callers ask for one t at a time; the grid is one batch
 
     def __init__(self, triple, seed, n_max=4096):
         triple.require_verified()
         self.triple = triple
-        self.ns = ns = default_schedule(n_max)
+        self.ns = default_schedule(n_max)
+        both, own, shift = _stream_schedule(n_max)
         Z = triple.sigma.Z
-        charges, phases = [], []
-        for d in seed.factors:
-            z = stability.charge_of(Z, d.v)
-            if z == 0:
-                continue  # weak data: exactly zero mass contribution
-            charges.append((z.real, z.imag))
-            phases.append(d.phase)
-        if not charges:
+        zs = [stability.charge_of(Z, d.v) for d in seed.factors]
+        # weak data: a factor of zero charge adds exactly zero mass
+        charged = [(z.real, z.imag, d.phase) for z, d in zip(zs, seed.factors) if z != 0]
+        if not charged:
             raise ValueError("seed has no factors with nonzero charge")
+        w = np.array(charged)
         self.record = cover.power_record(triple.g)
-        w = np.array(charges)
-        self.logs, self.phis = self.record.log_charge_and_phase(
-            w[:, :1], w[:, 1:], np.array(phases)[:, None], np.array(ns)[None, :])
+        logs, phis = self.record.log_charge_and_phase(
+            w[:, :1], w[:, 1:2], w[:, 2:], both[None, :])
+        self.logs, self.phis = logs.take(own, axis=1), phis.take(own, axis=1)
+        self._shift_rows = phis[[0, -1]].take(shift, axis=1) if zs[0] != 0 and zs[-1] != 0 else None
         self._fits = {}
+
+    def log_rows(self, ts):
+        """log m_{sigma,t}(Phi^n seed) at every schedule point, one row per t
+        of ts: one log-sum-exp over (t, factor, n).
+
+        t phi is rounded to half the spacing of |t| max|phi|, and a rate, a
+        slope over n up to n_max, moves by about that over n_max (1.0 and 3.3
+        times it on README's triple at n_max 4096, t = -1e12 and 3e11).  So a
+        weight with spacing(|t| max|phi|) > WEIGHT_TOL n_max is refused
+        (ValueError): it would round the log masses away.  Phases of drift
+        tau reach |tau| n_max, so |t| < WEIGHT_TOL 2^52 / |tau| always passes."""
+        ts = np.asarray(ts, dtype=float)
+        reach = np.abs(ts) * np.max(np.abs(self.phis))
+        bound = WEIGHT_TOL * self.ns[-1]
+        refused = np.flatnonzero(~(np.spacing(reach) <= bound))  # nan (t phi overflows) too
+        if len(refused):
+            t, r = ts[refused[0]], reach[refused[0]]
+            raise ValueError("weight t = %.12g is too large for this stream: |t| max|phi| = %.6g "
+                             "is resolved only to %.3g, beyond %g n_max = %.3g"
+                             % (t, r, np.spacing(r), WEIGHT_TOL, bound))
+        x = self.logs + ts[:, None, None] * self.phis
+        top = np.max(x, axis=1)
+        return top + np.log(np.sum(np.exp(x - top[:, None, :]), axis=1))
 
     def log_mass(self, t=0.0):
         """log m_{sigma,t}(Phi^n seed) for every schedule point."""
-        x = self.logs + t * self.phis
-        top = np.max(x, axis=0)
-        return top + np.log(np.sum(np.exp(x - top[None, :]), axis=0))
-
-    log_row = log_mass
+        return self.log_rows([t])[0]
 
 
 @dataclass(frozen=True)
@@ -276,11 +307,12 @@ class HomTable(_Stream):
             _ks=np.fromiter((k for _, k in order), np.int64, len(order)),
             _log_dims=np.fromiter((math.log(cleaned[nk]) for nk in order), float, len(order)))
 
-    def log_row(self, t=0.0):
-        """The log of each row's sum of dim e^(-k t) (a log-sum-exp), as floats."""
-        vals = self._log_dims - self._ks * t
-        top = np.maximum.reduceat(vals, self._starts)
-        sums = np.add.reduceat(np.exp(vals - top[self._row_of]), self._starts)
+    def log_rows(self, ts):
+        """The log of each row's sum of dim e^(-k t) (a log-sum-exp), a list
+        of floats per t of ts."""
+        vals = self._log_dims - np.asarray(ts, dtype=float)[:, None] * self._ks
+        top = np.maximum.reduceat(vals, self._starts, axis=1)
+        sums = np.add.reduceat(np.exp(vals - top[:, self._row_of]), self._starts, axis=1)
         return (top + np.log(sums)).tolist()
 
 
@@ -308,8 +340,9 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
     of _fit_streams goes too (fitted here on a periodic row, which has none)."""
     stream = MassStream(triple, seed, n_max=n_max)
     ys = stream.log_mass(t)
-    ns = np.asarray(stream.ns, dtype=float)
-    ((exp_rate, _, diag),), (d,) = _fit_streams(ns, [ys])
+    plan = fit_plan(stream.ns)
+    ns = plan.ns
+    ((exp_rate, _, diag),), (d,) = _fit_streams(stream.ns, [ys])
     closed = None
     if triple.spanning and t == 0.0:
         closed = (stream.record.log_rho, float(stream.record.jordan))
@@ -322,8 +355,8 @@ def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
         poly, window, max_slope = 0.0, diag.get("window"), 0.0
     else:
         # the d/n term goes first, so a Jordan block reads its rate
-        d = joint_rate_fit(ns, ys[None])[1][0] if d is None else d
-        (poly,), window, (max_slope,) = log_slope_fit(ns, (ys - d / ns)[None] - rate_used * ns)
+        d = joint_rate_fit(plan, ys[None])[1][0] if d is None else d
+        (poly,), window, (max_slope,) = log_slope_fit(plan, (ys - d / ns)[None] - rate_used * ns)
     return GrowthReport(
         samples=tuple(zip(stream.ns, ys.tolist())),
         exp_rate=float(exp_rate),
@@ -364,16 +397,17 @@ def pol_shifting_numbers(triple, seed, n_max=2**16):
     return _shifts(cover.power_record(triple.g), seed, n_max)[1]
 
 
-def _shifts(record, seed, n_max):
+def _shifts(record, seed, n_max, phis=None):
     """(shifting_numbers, pol_shifting_numbers) from the power record of g.
 
-    The extreme phases of the seed are two growth rows on the default
-    schedule, evaluated at once and fitted in one _fit_streams batch: nu+-
-    are their rates, nu_pol+- their polynomial rates, and each side carries
-    its row's diagnostics."""
+    phis, the phases of the seed's top and bottom factors on
+    default_schedule(n_max) (one record.phase call when None), are two growth
+    rows fitted in one _fit_streams batch: nu+- are their rates, nu_pol+-
+    their polynomial rates, and each side carries its row's diagnostics."""
     top, bottom = stability.phases(seed)
     ns = _default_schedule(n_max)
-    phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
+    if phis is None:
+        phis = record.phase(np.array([[top], [bottom]]), np.array(ns)[None, :])
     (up, lo), _ = _fit_streams(ns, phis)
     tau = record.tau
     base = ShiftingNumbers(
@@ -434,7 +468,8 @@ def epsilon_bounds_from_hom(table):
     ns = table.ns
     eps_plus = (-np.minimum.reduceat(table._ks, table._starts)).tolist()
     eps_minus = (-np.maximum.reduceat(table._ks, table._starts)).tolist()
-    nu_up, nu_lo = theil_sen_slope(ns, [eps_plus, eps_minus]) if len(ns) > 1 else (0.0, 0.0)
+    nu_up, nu_lo = (theil_sen_slope(slope_pairs(ns), [eps_plus, eps_minus]) if len(ns) > 1
+                    else (0.0, 0.0))
     return EpsilonBounds(
         ns=tuple(ns),
         eps_plus=tuple(eps_plus),
@@ -466,12 +501,13 @@ class InequalityReport(Report):
 
 
 def _grid_rates(triple, seed, t_grid, n_max):
-    """(the t grid with 0 added, sorted; {t: (h_t, its polynomial rate)}, the
-    power record of g): one mass stream, one batched fit."""
+    """(the t grid with 0 added, sorted; {t: (h_t, its polynomial rate)};
+    _shifts at max(n_max, SHIFT_N_MIN)): one mass stream, so one record
+    evaluation, and one batched fit for each."""
     stream = MassStream(triple, seed, n_max=n_max)
     t_grid = tuple(sorted(set(float(t) for t in t_grid) | {0.0}))
     rates = {t: (float(e), float(p)) for t, (_, (e, p, _)) in zip(t_grid, stream.fits(t_grid))}
-    return t_grid, rates, stream.record
+    return t_grid, rates, _shifts(stream.record, seed, max(n_max, SHIFT_N_MIN), stream._shift_rows)
 
 
 def _table_rates(table, t_grid):
@@ -485,10 +521,9 @@ def yomdin_suite(triple, seed, hom_table=None, t_grid=DEFAULT_T_GRID, n_max=4096
     These are theorems for verified triples: a failure beyond tolerance
     indicates an implementation bug, never new mathematics.
     """
-    t_grid, rates, record = _grid_rates(triple, seed, t_grid, n_max)
+    t_grid, rates, (shifts, pol_shifts) = _grid_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
     h_sigma_pol = rates[0.0][1]
-    shifts, pol_shifts = _shifts(record, seed, max(n_max, 2**14))
     nu_up, nu_lo = shifts.nu_upper, shifts.nu_lower
     nup_up, nup_lo = pol_shifts.nu_upper, pol_shifts.nu_lower
 
@@ -572,9 +607,9 @@ class LinearityReport(Report):
 
 def linearity_check(triple, seed, t_grid=DEFAULT_T_GRID, n_max=4096, hom_table=None):
     """Affinity of the mass growth in t against the shifting-number line."""
-    t_grid, rates, record = _grid_rates(triple, seed, t_grid, n_max)
+    t_grid, rates, (shifts, _) = _grid_rates(triple, seed, t_grid, n_max)
     h_sigma = rates[0.0][0]
-    nu = _shifts(record, seed, max(n_max, 2**14))[0].nu_upper
+    nu = shifts.nu_upper
     fitted = tuple(rates[t][0] for t in t_grid)
     deviations = [abs(h - (h_sigma + nu * t)) for t, h in zip(t_grid, fitted)]
     ent = None

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fit import geometric_schedule, joint_rate_fit, log_slope_fit
+from ._fit import fit_plan, geometric_schedule, joint_rate_fit, log_slope_fit
 from ._report import Report
 from .errors import DegenerateSpectrum, RootFindingDiverged, SingularMatrix
 
@@ -875,9 +875,9 @@ def growth_rate_estimate(A, schedule=None):
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     ys = _log_norms_of_powers(A.to_float(), schedule)
-    ns, Y = np.array(schedule, dtype=float), np.array([ys])
-    (a,), _, (rms,), window = joint_rate_fit(ns, Y, fraction=64)
-    (s_est,), _, _ = log_slope_fit(ns, Y - a * ns)
+    plan, Y = fit_plan(schedule), np.array([ys])
+    (a,), _, (rms,), window = joint_rate_fit(plan, Y, fraction=64)
+    (s_est,), _, _ = log_slope_fit(plan, Y - a * plan.ns)
     return GrowthEstimate(
         rho_est=float(np.exp(a)),
         s_est=float(s_est),

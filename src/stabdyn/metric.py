@@ -214,6 +214,8 @@ def stable_translation_length(triple, n_max=64):
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max >= 2**63:
+        raise ValueError("n_max = %d is not below 2^63, the range of the power exponents" % n_max)
     ns = []
     k = 1
     while k < n_max:

@@ -607,3 +607,58 @@ def test_out_file_writing(tmp_path):
     assert main(["spectral", path, "--out", str(target)]) == 0
     data = json.loads(target.read_text(encoding="utf-8"))
     assert data["s"] == 0
+
+
+# --- limits of --n-max and of the weights -----------------------------------------------
+
+
+def readme_triple_payload():
+    """The JSON block under "A triple file looks like" in README.md."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("A triple file looks like", 1)[1].split("```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+@pytest.mark.parametrize("n_max", ["100000000000000000000", str(2**63)])
+@pytest.mark.parametrize("argv", [["growth", "T"], ["translation", "T"], ["scenario", "curve"],
+                                  ["scenario", "coh1"], ["scenario", "weak"]],
+                         ids=["growth", "translation", "curve", "coh1", "weak"])
+def test_n_max_beyond_int64_is_one_input_error_line(tmp_path, capsys, argv, n_max):
+    # 1e20 raised a raw OverflowError, growth blamed the t grid, and 2^63
+    # leaked a numpy cast warning
+    path = write(tmp_path / "t.json", readme_triple_payload())
+    argv = [path if a == "T" else a for a in argv]
+    assert main(argv + ["--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: --n-max must be below 2^63, got %s\n" % n_max
+    assert captured.out == ""
+
+
+def test_n_max_just_below_two_to_the_sixty_three_runs(tmp_path, capsys):
+    path = write(tmp_path / "t.json", readme_triple_payload())
+    argv = ["growth", path, "--n-max", str(2**63 - 1), "--t-grid", "0", "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "t 0 exp_rate 0.962423650119 poly_rate 0\n"
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("-1e12", "weight t = -1e+12 is too large for this stream: |t| max|phi| = 2.5e+11 "
+                  "is resolved only to 3.05e-05, beyond 1e-10 n_max = 4.1e-07"),
+        ("0,1e19", "weight t = 1e+19 is too large for this stream: |t| max|phi| = 2.5e+18 "
+                   "is resolved only to 512, beyond 1e-10 n_max = 4.1e-07"),
+        ("-1e100", "weight t = -1e+100 is too large for this stream: |t| max|phi| = 2.5e+99 "
+                   "is resolved only to 4.86e+83, beyond 1e-10 n_max = 4.1e-07"),
+    ],
+)
+def test_a_weight_that_rounds_the_log_masses_away_is_input_error(tmp_path, capsys, grid, message):
+    # README's triple exited 0 with exp_rate 0.962434 at -1e15, 1.738 at
+    # -1e19 and 0 at -1e100 (closed form 0.962423650119)
+    path = write(tmp_path / "t.json", readme_triple_payload())
+    assert main(["growth", path, "--t-grid=" + grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""

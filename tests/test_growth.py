@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stabdyn import _fit, cover, families, growth, lattice, scenarios, stability
+from stabdyn import _fit, cover, families, growth, lattice, metric, scenarios, stability
 from stabdyn.errors import EmptyTable, UnverifiedTriple
-from stabdyn._fit import geometric_schedule
+from stabdyn._fit import fit_plan, geometric_schedule
 from stabdyn.growth import (
     DEFAULT_T_GRID,
     SEQ_PREFIX,
@@ -521,15 +521,15 @@ def test_period_detector_matches_the_list_loop():
     found = 0
     for ns_, ys in cases:
         for arg in (ys, np.asarray(ys)):
-            (got,), want = _detect_linear_periodic(ns_, [arg]), _list_detect(ns_, arg)
+            (got,), want = _detect_linear_periodic(fit_plan(ns_), [arg]), _list_detect(ns_, arg)
             assert got == want
             if want is not None:
                 found += 1
                 assert type(got[0]) is type(want[0]) and type(got[1]) is int
-    assert _detect_linear_periodic(ns[:159], [streams[3][:159]]) == [None]
+    assert _detect_linear_periodic(fit_plan(ns[:159]), [streams[3][:159]]) == [None]
     assert found >= 20
     # one batch of every full-length stream gives each row's own answer
-    batch = _detect_linear_periodic(ns, np.array(streams))
+    batch = _detect_linear_periodic(fit_plan(ns), np.array(streams))
     assert batch == [_list_detect(ns, np.asarray(ys)) for ys in streams]
 
 
@@ -538,8 +538,9 @@ def test_period_detector_takes_the_first_of_equal_runs():
     ns = list(range(200)) + list(range(300, 500))
     ys = [0.1 * n if n < 250 else 0.2 * n + (n % 5) for n in ns]
     assert _list_detect(ns, ys)[1] == 1
-    assert _detect_linear_periodic(ns, [ys]) == [_list_detect(ns, ys)]
-    assert _detect_linear_periodic(ns[200:], [ys[200:]]) == [_list_detect(ns[200:], ys[200:])]
+    assert _detect_linear_periodic(fit_plan(ns), [ys]) == [_list_detect(ns, ys)]
+    tail = ns[200:], ys[200:]
+    assert _detect_linear_periodic(fit_plan(tail[0]), [tail[1]]) == [_list_detect(*tail)]
 
 
 def _count_records(monkeypatch, call):
@@ -730,10 +731,10 @@ def test_pol_mass_growth_fits_the_d_term_of_a_periodic_row_about_another_rate(mo
         assert calls == [1]
         stream = OffRate(t, families.seed_object(t), n_max=2**14)
         ys, ns = stream.log_mass(0.0), np.array(stream.ns, dtype=float)
-        _, (d,), _, _ = fit(ns, ys[None])
+        _, (d,), _, _ = fit(fit_plan(ns), ys[None])
         rate = rep.diagnostics["rate_subtracted"]
         assert rate == stream.record.log_rho and abs(rate - rep.exp_rate) > 9e-7
-        (want,), window, _ = _fit.log_slope_fit(ns, (ys - d / ns)[None] - rate * ns)
+        (want,), window, _ = _fit.log_slope_fit(fit_plan(ns), (ys - d / ns)[None] - rate * ns)
         assert (rep.poly_rate, rep.diagnostics["poly_window"]) == (want, window)
 
 
@@ -879,13 +880,13 @@ def test_table_log_eps_matches_the_row_loop():
         multi.append(HomTable(entries))
     for t in DEFAULT_T_GRID + (0.25,):
         for table in single:  # one entry per row: bit-identical, Python floats
-            ys = table.log_row(t)
+            (ys,) = table.log_rows([t])
             assert (table.ns, ys) == _row_loop_log_eps(table, t)
             assert all(type(y) is float for y in ys)
         for table in multi:  # summation order may move the last bit
             want_ns, want = _row_loop_log_eps(table, t)
             assert table.ns == want_ns
-            assert table.log_row(t) == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert table.log_rows([t])[0] == pytest.approx(want, rel=1e-15, abs=1e-15)
     for table in single[1:] + multi:  # the extremal shifts read the same arrays
         eb = epsilon_bounds_from_hom(table)
         rows = {}
@@ -943,3 +944,87 @@ def test_both_shifting_numbers_come_from_one_phase_evaluation(monkeypatch):
             top_n, bottom_n = ref[:, -1].tolist()
             spread = top_bottom[0, 0] - top_bottom[1, 0]
             assert pol.diagnostics["sublinearity"] == (top_n - bottom_n - spread) / math.log(n_max)
+
+
+# --- one record evaluation per stream, and its limits -------------------------------------
+
+
+def _log_sum_exp(logs, phis, t):
+    """The log mass of one weight as one log-sum-exp over the factors."""
+    x = logs + t * phis
+    top = np.max(x, axis=0)
+    return top + np.log(np.sum(np.exp(x - top[None, :]), axis=0))
+
+
+@pytest.mark.parametrize("n_max", [64, 1024, 4096, 5000, 2**14, 2**16])
+def test_a_stream_keeps_the_bits_of_its_own_evaluation(n_max):
+    # the stream evaluates the record once on its schedule joined with the
+    # shifting numbers' one; each part must equal an evaluation of its own
+    rng = np.random.default_rng(89)
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        t = families.compatible_triple(rng, rank=3, kind=kind, shift=-2)
+        seed = seed_of(t)
+        stream = MassStream(t, seed, n_max=n_max)
+        record = cover.power_record(t.g)
+        zs = [charge_of(t.sigma.Z, d.v) for d in seed.factors]
+        logs, phis = record.log_charge_and_phase(
+            np.array([[z.real] for z in zs]), np.array([[z.imag] for z in zs]),
+            np.array([[d.phase] for d in seed.factors]), np.array(default_schedule(n_max))[None, :])
+        assert np.array_equal(stream.logs, logs) and np.array_equal(stream.phis, phis)
+        shift_ns = default_schedule(max(n_max, growth.SHIFT_N_MIN))
+        top, bottom = stability.phases(seed)
+        want = record.phase(np.array([[top], [bottom]]), np.array(shift_ns)[None, :])
+        assert np.array_equal(stream._shift_rows, want)
+        rows = stream.log_rows(DEFAULT_T_GRID)
+        for row, x in zip(rows, DEFAULT_T_GRID):
+            assert np.array_equal(row, _log_sum_exp(logs, phis, x))
+
+
+def readme_triple():
+    """README's sample triple and its seed: hyperbolic, drift 0, h_t = log rho."""
+    seed = HNObject((SemistableDatum((0, 1), 0.5), SemistableDatum((1, 0), 0.0)))
+    return hyperbolic_triple(), seed
+
+
+def test_a_weight_that_rounds_the_log_masses_away_is_refused():
+    t, seed = readme_triple()
+    stream = MassStream(t, seed, n_max=4096)
+    # accepted weights up to the bound, about 8.6e9 here, read the closed form
+    for x in np.geomspace(1e-3, 8.5e9, 45):
+        for w in (x, -x):
+            rep = mass_growth(t, seed, t=w, stream=stream)
+            assert abs(rep.exp_rate - rep.closed_form[0]) <= 1e-9, (w, rep.exp_rate)
+    for w in (1e10, -1e12, 1e19, -1e100):
+        with pytest.raises(ValueError) as err:
+            mass_growth(t, seed, t=w, stream=stream)
+        assert str(err.value).startswith("weight t = %.12g is too large for this stream" % w)
+        with pytest.raises(ValueError, match="is too large for this stream"):
+            MassStream(t, seed, n_max=4096).fits([0.0, w])
+    # the bound grows with n_max
+    assert mass_growth(t, seed, t=1e11, n_max=2**20).exp_rate == pytest.approx(
+        0.962423650119, abs=1e-9)
+
+
+def test_every_weight_up_to_three_passes_at_the_largest_drift():
+    # family phases drift by up to 2 per step, so they reach 2^21 at n_max 2^20
+    rng = np.random.default_rng(97)
+    for shift in (-2, 2):
+        t = families.compatible_triple(rng, rank=2, kind="hyperbolic", shift=shift)
+        stream = MassStream(t, seed_of(t), n_max=2**20)
+        assert np.max(np.abs(stream.phis)) > 2**21 - 10
+        for (_, (rate, _, _)), w in zip(stream.fits([-3.0, 3.0]), (-3.0, 3.0)):
+            assert rate == pytest.approx(stream.record.log_rho + w * stream.record.tau, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_max", [2**63, 10**20])
+def test_an_n_max_beyond_int64_names_n_max(n_max):
+    t = hyperbolic_triple()
+    seed = seed_of(t)
+    message = "n_max = %d is not below 2\\^63" % n_max
+    for call in (lambda: MassStream(t, seed, n_max=n_max),
+                 lambda: mass_growth(t, seed, n_max=n_max),
+                 lambda: shifting_numbers(t, seed, n_max=n_max),
+                 lambda: pol_shifting_numbers(t, seed, n_max=n_max),
+                 lambda: metric.stable_translation_length(t, n_max=n_max)):
+        with pytest.raises(ValueError, match=message):
+            call()
