@@ -202,7 +202,8 @@ def cmd_scenario(args):
     if foreign:
         raise ValueError("scenario %s takes no %s" % (args.name, ", ".join(foreign)))
     try:
-        rep = scenarios.run_scenario(args.name, **kwargs)
+        with _float_range("scenario %s" % args.name):  # the defaults stay in range
+            rep = scenarios.run_scenario(args.name, **kwargs)
     except (PreconditionViolated, NonIntegralAction) as exc:
         raise ValueError(str(exc)) from None  # the defaults raise neither: a flag is at fault
     if args.format == "text":

@@ -93,8 +93,8 @@ def lift_from(M, f0):
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError("M must be 2x2")
-    (a, b), (c, d) = GL2TildeElem(m=M.tolist(), f0=f0).m  # finite entries and f0
-    det = a * d - b * c  # Python floats: overflow gives inf, not a numpy warning
+    # checks finite entries and f0; a Python-float det overflows to inf, not a numpy warning
+    det = GL2TildeElem(m=M.tolist(), f0=f0).det
     if not math.isfinite(det):
         raise ValueError("det(M) = %r is not finite" % det)
     if det <= 0.0:

@@ -61,9 +61,12 @@ def random_sl2(rng, kind):
 
 
 BLOCK_CHARGES = ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 2), (1, -2))
+SUPPORT_MARGIN = 2.0  # the support constant C over the tightest C the semistables allow
+SEED_FACTORS = 3  # the most factors seed_object takes
+DECK_RANGE = 2  # random_cover_element's deck translations are 2k, |k| <= DECK_RANGE
 
 
-def compatible_triple(rng, rank=2, kind="hyperbolic", shift=0, support_margin=2.0):
+def compatible_triple(rng, rank=2, kind="hyperbolic", shift=0):
     """A verified compatible triple on a rank-r lattice.
 
     kind picks the conjugacy class of the 2x2 matrix part; shift composes
@@ -107,7 +110,7 @@ def compatible_triple(rng, rank=2, kind="hyperbolic", shift=0, support_margin=2.
             phase += 1.0  # the odd-shift representative of the same ray
         sems.append(stability.SemistableDatum(v, phase))
 
-    C = support_margin * max(
+    C = SUPPORT_MARGIN * max(
         max(abs(x) for x in d.v) / abs(stability.charge_of(Z, d.v)) for d in sems
     )
     sigma = stability.StabilityData(Z=Z, semistables=tuple(sems), support_C=C)
@@ -129,9 +132,9 @@ def compatible_triple(rng, rank=2, kind="hyperbolic", shift=0, support_margin=2.
     return triple
 
 
-def seed_object(triple, max_factors=3):
+def seed_object(triple):
     """An HN object assembled from the triple's own semistable list: up to
-    max_factors entries of distinct phases, largest first, skipping entries
+    SEED_FACTORS entries of distinct phases, largest first, skipping entries
     of zero charge (they carry no mass)."""
     ordered = sorted(triple.sigma.semistables, key=lambda d: -d.phase)
     factors = []
@@ -140,12 +143,12 @@ def seed_object(triple, max_factors=3):
             continue
         if not factors or d.phase < factors[-1].phase - 1e-9:
             factors.append(d)
-        if len(factors) == max_factors:
+        if len(factors) == SEED_FACTORS:
             break
     return stability.HNObject(tuple(factors))
 
 
-def random_cover_element(rng, deck_range=2):
+def random_cover_element(rng):
     """Random cover element: positive-determinant matrix, standard lift,
     composed with a random even deck translation."""
     while True:
@@ -153,7 +156,7 @@ def random_cover_element(rng, deck_range=2):
         if np.linalg.det(M) > 0.05:
             break
     base = math.atan2(M[1, 0], M[0, 0]) / math.pi
-    deck = 2.0 * int(rng.integers(-deck_range, deck_range + 1))
+    deck = 2.0 * int(rng.integers(-DECK_RANGE, DECK_RANGE + 1))
     return cover.lift_from(M, base + deck)
 
 

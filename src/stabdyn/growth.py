@@ -219,6 +219,18 @@ class _Stream:
             self._fits.update(zip(todo, zip(rows, _fit_streams(self.ns, rows)[0])))
         return [self._fits[t] for t in ts]
 
+    def report(self, t, closed_form=None):
+        """GrowthReport of the fit of weight t, with its samples and the given
+        closed_form."""
+        ((ys, (exp_rate, poly_rate, diag)),) = self.fits([t])
+        return GrowthReport(
+            samples=tuple(zip(self.ns, np.asarray(ys).tolist())),
+            exp_rate=float(exp_rate),
+            poly_rate=float(poly_rate),
+            closed_form=closed_form,
+            diagnostics=dict(diag, t=t),
+        )
+
 
 class MassStream(_Stream):
     """Per-factor log-moduli and phases of the iterated seed object, and its fits so far.
@@ -319,17 +331,10 @@ class HomTable(_Stream):
 def mass_growth(triple, seed, t=0.0, n_max=4096, stream=None):
     """Exponential rate of log mass along the iteration."""
     stream = stream or MassStream(triple, seed, n_max=n_max)
-    ((ys, (exp_rate, poly_rate, diag)),) = stream.fits([t])
     record = stream.record if stream.triple is triple else cover.power_record(triple.g)
     # every factor's phase drifts by tau per step, so h_t = log rho + t tau
     closed = (record.log_rho + t * record.tau, float(record.jordan)) if triple.spanning else None
-    return GrowthReport(
-        samples=tuple(zip(stream.ns, ys.tolist())),
-        exp_rate=float(exp_rate),
-        poly_rate=float(poly_rate),
-        closed_form=closed,
-        diagnostics=dict(diag, t=t),
-    )
+    return stream.report(t, closed)
 
 
 def pol_mass_growth(triple, seed, t=0.0, n_max=2**20):
@@ -427,13 +432,7 @@ def _shifts(record, seed, n_max, phis=None):
 
 def entropy_from_hom(table, t=0.0):
     """Growth rate of the weighted Hom sums along the table rows."""
-    ((ys, (exp_rate, poly_rate, diag)),) = table.fits([t])
-    return GrowthReport(
-        samples=tuple(zip(table.ns, ys)),
-        exp_rate=float(exp_rate),
-        poly_rate=float(poly_rate),
-        diagnostics=dict(diag, t=t),
-    )
+    return table.report(t)
 
 
 def pol_entropy_from_hom(table, t=0.0):

@@ -799,10 +799,10 @@ def spectral_data(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):
 
 
 def spectral_radius(A, tol=1e-9):
-    """Largest eigenvalue modulus, each root certified to residual <= tol."""
-    coeffs = char_poly(A)
-    roots = _certified_roots(coeffs, squarefree_decomposition(coeffs), tol)
-    return float(max(abs(z) for z, *_ in roots))
+    """Largest eigenvalue modulus: the rho of spectral_data(A, tol=tol), so
+    each root is certified to residual <= tol, and a modulus in the cluster
+    guard band below rho raises DegenerateSpectrum."""
+    return spectral_data(A, tol=tol).rho
 
 
 def poly_growth_rate(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):

@@ -19,6 +19,15 @@ from .errors import NonIntegralAction, PreconditionViolated
 from .lattice import IntMatrix
 
 CURVE_CHARGE = stability.CentralCharge(((0.0, -1.0), (1.0, 0.0)))  # -deg + i rk
+# the semistables of the rank/degree lattice that the curve and coh1 share
+_CURVE_SEMISTABLES = (
+    stability.SemistableDatum((1, 0), 0.5),
+    stability.SemistableDatum((0, 1), 1.0),
+    stability.SemistableDatum((1, 1), math.atan2(1.0, -1.0) / math.pi),
+)
+# a point and O, (rk, deg) = (0, 1) and (1, 0): the seed object of the curve and coh1
+_CURVE_SEED = stability.HNObject(
+    (stability.SemistableDatum((0, 1), 1.0), stability.SemistableDatum((1, 0), 0.5)))
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,9 @@ class ScenarioReport(Report):
         return lines
 
 
-def _claim(claims, label, reference, value, expected, tol):
+def _claim(claims, label, reference, value, expected, tol, passed=None):
+    """Append a ClaimRow; passed, when given, is the row's verdict (a strict
+    inequality), else the row passes when |value - expected| <= tol."""
     claims.append(
         ClaimRow(
             claim=label,
@@ -70,22 +81,14 @@ def _claim(claims, label, reference, value, expected, tol):
             value=float(value),
             expected=float(expected),
             tolerance=float(tol),
-            passed=bool(abs(value - expected) <= tol),
+            passed=bool(abs(value - expected) <= tol if passed is None else passed),
         )
     )
 
 
-def _curve_sigma():
-    return stability.StabilityData(
-        Z=CURVE_CHARGE,
-        semistables=(
-            stability.SemistableDatum((1, 0), 0.5),
-            stability.SemistableDatum((0, 1), 1.0),
-            stability.SemistableDatum((1, 1), math.atan2(1.0, -1.0) / math.pi),
-            stability.SemistableDatum((1, -1), 0.25),
-        ),
-        support_C=2.0,
-    )
+def _shifted(g, m):
+    """g followed by the plane shift by m (g itself when m is 0)."""
+    return cover.compose(cover.from_complex(float(m)), g) if m else g
 
 
 def p1_hom_table(n_max=4096):
@@ -111,19 +114,18 @@ def curve_scenario(deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID, n_max=4096, pol_n
     deg_L = int(deg_L)
     m = int(m)
     sign = (-1) ** m
-    sigma = _curve_sigma()
+    sigma = stability.StabilityData(
+        Z=CURVE_CHARGE,
+        semistables=_CURVE_SEMISTABLES + (stability.SemistableDatum((1, -1), 0.25),),
+        support_C=2.0,
+    )
     P = IntMatrix(((sign, 0), (sign * deg_L, sign)))
-    g = cover.lift_from(np.array([[1.0, -float(deg_L)], [0.0, 1.0]]), 0.0)
-    if m:
-        g = cover.compose(cover.from_complex(float(m)), g)
+    g = _shifted(cover.lift_from(np.array([[1.0, -float(deg_L)], [0.0, 1.0]]), 0.0), m)
     triple = stability.verify_triple(stability.AutoequivalenceData(P=P, label="tensor+shift"),
                                      sigma, g)
     claims = []
     extras = {}
-    seed = stability.HNObject(
-        (stability.SemistableDatum((0, 1), 1.0), stability.SemistableDatum((1, 0), 0.5))
-    )
-    lin = growth.linearity_check(triple, seed, t_grid=t_grid, n_max=n_max)
+    lin = growth.linearity_check(triple, _CURVE_SEED, t_grid=t_grid, n_max=n_max)
     extras["linearity"] = lin
     _claim(claims, "mass growth line has slope m", "translation slope of the growth line",
            lin.line_slope, float(m), 5e-2)
@@ -134,7 +136,7 @@ def curve_scenario(deg_L=3, m=1, t_grid=growth.DEFAULT_T_GRID, n_max=4096, pol_n
            "growth linearity for compatible actions",
            lin.max_deviation, 0.0, 5e-2)
     if deg_L != 0:
-        pol = growth.pol_mass_growth(triple, seed, n_max=pol_n_max)
+        pol = growth.pol_mass_growth(triple, _CURVE_SEED, n_max=pol_n_max)
         extras["polynomial"] = pol
         _claim(claims, "polynomial growth intercept is one",
                "single shear block forces log-scale slope one",
@@ -173,27 +175,14 @@ def coh1_scenario(lam=1, m=0, n_max=4096):
     lam = int(round(float(lam)))
     m = int(m)
     sign = (-1) ** m
-    sigma = stability.StabilityData(
-        Z=CURVE_CHARGE,
-        semistables=(
-            stability.SemistableDatum((1, 0), 0.5),
-            stability.SemistableDatum((0, 1), 1.0),
-            stability.SemistableDatum((1, 1), math.atan2(1.0, -1.0) / math.pi),
-        ),
-    )
+    sigma = stability.StabilityData(Z=CURVE_CHARGE, semistables=_CURVE_SEMISTABLES)
     P = IntMatrix(((sign, 0), (0, sign * lam)))
-    M = np.array([[float(lam), 0.0], [0.0, 1.0]])
-    g = cover.lift_from(M, 0.0)
-    if m:
-        g = cover.compose(cover.from_complex(float(m)), g)
+    g = _shifted(cover.lift_from(np.array([[float(lam), 0.0], [0.0, 1.0]]), 0.0), m)
     label = "pullback+shift" if lam == 1 else "pullback+shift (synthetic, non-unimodular)"
     auto = stability.AutoequivalenceData(P=P, label=label, allow_nonunimodular=lam != 1)
     triple = stability.verify_triple(auto, sigma, g)
-    seed = stability.HNObject(
-        (stability.SemistableDatum((0, 1), 1.0), stability.SemistableDatum((1, 0), 0.5))
-    )
-    rep = growth.mass_growth(triple, seed, n_max=max(n_max, 2048))
-    shifts = growth.shifting_numbers(triple, seed)
+    rep = growth.mass_growth(triple, _CURVE_SEED, n_max=max(n_max, 2048))
+    shifts = growth.shifting_numbers(triple, _CURVE_SEED)
     claims = []
     _claim(claims, "mass growth equals log of the divisor eigenvalue",
            "growth equals top-eigenvalue log for spanning actions",
@@ -231,9 +220,7 @@ def weak_stability_scenario(intersection_number=1.0, m=0, n_max=2**16):
         sems.append(stability.SemistableDatum((0, 1), 1.0))  # zero charge, weak
     sigma = stability.StabilityData(Z=Z, semistables=tuple(sems), weak=True)
     P = IntMatrix(((sign, 0), (sign, sign)))
-    g = cover.lift_from(np.array([[1.0, -c], [0.0, 1.0]]), 0.0)
-    if m:
-        g = cover.compose(cover.from_complex(float(m)), g)
+    g = _shifted(cover.lift_from(np.array([[1.0, -c], [0.0, 1.0]]), 0.0), m)
     triple = stability.verify_triple(stability.AutoequivalenceData(P=P, label="weak twist"),
                                      sigma, g)
     seed_factors = [stability.SemistableDatum((1, 0), 0.5)]
@@ -293,10 +280,10 @@ def ginzburg_scenario(phase1=0.3, phase2=0.6, d=3):
     M = Bp @ np.linalg.inv(B)
     intertwine = stability.check_charge_intertwine(Z, auto, M, tol=1e-12)
     g = cover.lift_from(M, math.atan2(M[1, 0], M[0, 0]) / math.pi)
-    z12 = z1 + z2
+    mid = cert.image_phase_2  # the phase of the extension z1 + z2 of the simples
     images = (
         stability.SemistableDatum((1, 0), p1 + 1 - d),
-        stability.SemistableDatum((1, 1), math.atan2(z12.imag, z12.real) / math.pi),
+        stability.SemistableDatum((1, 1), mid),
     )
     triple = stability.verify_triple(auto, sigma, g, images=images)
 
@@ -304,33 +291,19 @@ def ginzburg_scenario(phase1=0.3, phase2=0.6, d=3):
     _claim(claims, "charge intertwine residual vanishes",
            "the twist acts linearly on charges",
            intertwine.residual, 0.0, 1e-12)
-    claims.append(
-        ClaimRow(
-            claim="compatibility fails at the heart window",
-            reference="images of the simples cannot share a length-one window",
-            value=0.0 if (not triple.verified and triple.failure.kind == "heart_window") else 1.0,
-            expected=0.0,
-            tolerance=0.0,
-            passed=(not triple.verified and triple.failure.kind == "heart_window"),
-        )
-    )
+    window_fails = not triple.verified and triple.failure.kind == "heart_window"
+    _claim(claims, "compatibility fails at the heart window",
+           "images of the simples cannot share a length-one window",
+           0.0 if window_fails else 1.0, 0.0, 0.0)
     _claim(claims, "window gap equals one minus the sphere shift",
            "the first simple drops d-1 phase units",
            cert.gap, 1 - d, 0.0)
-    # the extension z1 + z2 of the simples has its phase strictly between
-    # theirs: the claim holds when p1 < mid < p2, the open interval centred
-    # at (p1 + p2) / 2 with half-width (p2 - p1) / 2
-    mid = math.atan2(z12.imag, z12.real) / math.pi
-    claims.append(
-        ClaimRow(
-            claim="extension phase lies strictly between the simples",
-            reference="the twisted extension sits strictly between the simples",
-            value=mid,
-            expected=(p1 + p2) / 2.0,
-            tolerance=(p2 - p1) / 2.0,
-            passed=bool(p1 < mid < p2),
-        )
-    )
+    # the extension's phase lies strictly between the simples': the claim
+    # holds when p1 < mid < p2, the open interval centred at (p1 + p2) / 2
+    # with half-width (p2 - p1) / 2
+    _claim(claims, "extension phase lies strictly between the simples",
+           "the twisted extension sits strictly between the simples",
+           mid, (p1 + p2) / 2.0, (p2 - p1) / 2.0, passed=p1 < mid < p2)
     return ScenarioReport(
         name="ginzburg",
         inputs={"phase1": p1, "phase2": p2, "d": d},

@@ -77,6 +77,11 @@ class SemistableDatum(Report):
         object.__setattr__(self, "phase", float(self.phase))
 
 
+def _datum(d):
+    """d as a SemistableDatum; a (class, phase) pair is converted."""
+    return d if isinstance(d, SemistableDatum) else SemistableDatum(d[0], d[1])
+
+
 def check_semistable(Z, datum, tol=None, weak=False):
     """Whether Z(v) = |Z(v)| e^{i pi phase} holds at relative tolerance.
 
@@ -107,10 +112,7 @@ class StabilityData:
     weak: bool = False
 
     def __post_init__(self):
-        sems = tuple(
-            d if isinstance(d, SemistableDatum) else SemistableDatum(d[0], d[1])
-            for d in self.semistables
-        )
+        sems = tuple(map(_datum, self.semistables))
         if not sems:
             raise ValueError("at least one semistable datum is required")
         object.__setattr__(self, "semistables", sems)
@@ -148,12 +150,8 @@ class StabilityData:
         return [charge_of(self.Z, d.v) for d in self.semistables]
 
     def to_json(self):
-        out = {
-            "rank": self.rank,
-            "Z": [list(self.Z.matrix[0]), list(self.Z.matrix[1])],
-            "semistables": [d.to_json() for d in self.semistables],
-            "weak": self.weak,
-        }
+        out = dict(self.Z.to_json(), semistables=[d.to_json() for d in self.semistables],
+                   weak=self.weak)
         if self.support_C is not None:
             out["C"] = float(self.support_C)
         if self.norm != "max":
@@ -214,10 +212,7 @@ class HNObject(Report):
     factors: tuple
 
     def __post_init__(self):
-        fac = tuple(
-            d if isinstance(d, SemistableDatum) else SemistableDatum(d[0], d[1])
-            for d in self.factors
-        )
+        fac = tuple(map(_datum, self.factors))
         if not fac:
             raise ValueError("an object needs at least one factor")
         for a, b in zip(fac, fac[1:]):
@@ -303,11 +298,9 @@ def check_charge_intertwine(Z, auto, M, tol=None):
     Zm = Z.array
     passed = True
     worst = 0.0
-    for j in range(Z.rank):
-        e = [0] * Z.rank
-        e[j] = 1
-        pv = auto.P.apply(e)
-        lhs = np.array([charge_of(Z, pv).real, charge_of(Z, pv).imag])
+    for j, col in enumerate(zip(*auto.P.entries)):  # column j of P is P e_j
+        z = charge_of(Z, col)
+        lhs = np.array([z.real, z.imag])
         rhs = M @ Zm[:, j]
         r = float(np.max(np.abs(lhs - rhs)))
         worst = max(worst, r)
@@ -369,30 +362,31 @@ def verify_triple(auto, sigma, g, tol=None, images=None):
         )
 
     report = check_charge_intertwine(sigma.Z, auto, g.matrix, tol)
+    transported = []
 
-    def fail(kind, detail):
+    def result(kind=None, detail=None):
+        """The triple: verified, with the transported images, when kind is
+        None; else failed at kind, with the given images (or none)."""
         return CompatibleTriple(
             auto=auto,
             sigma=sigma,
             g=g,
-            verified=False,
+            verified=kind is None,
             spanning=spanning_image(sigma),
             intertwine=report,
-            images=tuple(images) if images else (),
-            failure=TripleFailure(kind=kind, detail=detail),
+            images=tuple(transported) if kind is None else tuple(images or ()),
+            failure=None if kind is None else TripleFailure(kind=kind, detail=detail),
         )
 
     if not report.passed:
-        return fail("charge_intertwine", "residual %.3e above tolerance" % report.residual)
+        return result("charge_intertwine", "residual %.3e above tolerance" % report.residual)
 
-    transported = []
     for idx, d in enumerate(sigma.semistables):
         pv = auto.P.apply(d.v)
         if images is not None:
-            img = images[idx]
-            img = img if isinstance(img, SemistableDatum) else SemistableDatum(img[0], img[1])
+            img = _datum(images[idx])
             if tuple(img.v) != tuple(pv):
-                return fail(
+                return result(
                     "image_class",
                     "image class %s of entry %d is not P v = %s" % (img.v, idx, pv),
                 )
@@ -402,7 +396,7 @@ def verify_triple(auto, sigma, g, tol=None, images=None):
 
     for idx, img in enumerate(transported):
         if not check_semistable(sigma.Z, img, tol=tol, weak=sigma.weak):
-            return fail(
+            return result(
                 "phase_transport",
                 "transported entry %d has phase %.12g inconsistent with its charge"
                 % (idx, img.phase),
@@ -415,20 +409,12 @@ def verify_triple(auto, sigma, g, tol=None, images=None):
         window_images.append(SemistableDatum(img.v, img.phase - shift))
     if not check_heart_window(window_images, psi, tol=max(tol, 1e-9)):
         bad = [x.phase for x in window_images]
-        return fail(
+        return result(
             "heart_window",
             "image phases %s do not fit in (%.12g, %.12g]" % (bad, psi, psi + 1.0),
         )
 
-    return CompatibleTriple(
-        auto=auto,
-        sigma=sigma,
-        g=g,
-        verified=True,
-        spanning=spanning_image(sigma),
-        intertwine=report,
-        images=tuple(transported),
-    )
+    return result()
 
 
 def apply_auto(E, triple):
@@ -520,13 +506,8 @@ def same_stability_data(a, b, tol=1e-9):
         return False
     if not np.allclose(a.Z.array, b.Z.array, atol=tol, rtol=0.0):
         return False
-    for d in a.semistables:
-        if not check_semistable(b.Z, d, tol=max(tol, 1e-7), weak=a.weak or b.weak):
-            return False
-    for d in b.semistables:
-        if not check_semistable(a.Z, d, tol=max(tol, 1e-7), weak=a.weak or b.weak):
-            return False
-    return True
+    return all(check_semistable(other.Z, d, tol=max(tol, 1e-7), weak=a.weak or b.weak)
+               for one, other in ((a, b), (b, a)) for d in one.semistables)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,30 @@ def test_spectral_rejects_non_integer_entry(tmp_path, capsys, entry, shown):
     assert captured.out == ""
 
 
+def test_spectral_text_format(tmp_path, capsys):
+    path = write(tmp_path / "m.json", [[2, 1], [1, 1]])
+    assert main(["spectral", path, "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "dim 2\n"
+        "char_poly [1, -3, 1]\n"
+        "rho 2.61803398875\n"
+        "s 0\n"
+        "eigenvalue 2.61803398875+0i multiplicity 1 blocks [1]\n"
+        "eigenvalue 0.38196601125+0i multiplicity 1 blocks [1]\n")
+
+
+def test_spectral_reads_a_matrix_key_and_refuses_other_json(tmp_path, capsys):
+    assert main(["spectral", write(tmp_path / "m.json", [[2, 1], [1, 1]])]) == 0
+    bare = capsys.readouterr().out
+    assert main(["spectral", write(tmp_path / "k.json", {"matrix": [[2, 1], [1, 1]]})]) == 0
+    assert capsys.readouterr().out == bare
+    for i, payload in enumerate([{"rows": [[2, 1], [1, 1]]}, [2, 1], 7]):
+        assert main(["spectral", write(tmp_path / ("bad%d.json" % i), payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: expected a JSON array of arrays of integers\n"
+        assert captured.out == ""
+
+
 # --- check-triple ---------------------------------------------------------------
 
 
@@ -166,12 +190,36 @@ def test_check_triple_reads_back_its_own_triple_json(tmp_path, capsys):
                            "allow_nonunimodular": True}
 
 
+def test_check_triple_text_format(tmp_path, capsys):
+    path = write(tmp_path / "t.json", readme_triple_payload())
+    assert main(["check-triple", path, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "verified True\nspanning True\n"
+    payload = readme_triple_payload()
+    payload["images"] = [{"v": [-1, 0], "phase": 0.0}] + payload["sigma"]["semistables"][1:]
+    path = write(tmp_path / "bad.json", payload)
+    assert main(["check-triple", path, "--format", "text"]) == 4
+    assert capsys.readouterr().out == (
+        "verified False\nspanning True\n"
+        "failure image_class: image class (-1, 0) of entry 0 is not P v = (2, 1)\n")
+
+
 def test_check_triple_bad_schema(tmp_path):
     path = write(tmp_path / "t.json", {"sigma": {}})
     assert main(["check-triple", path]) == 2
 
 
 # --- growth -----------------------------------------------------------------------
+
+
+def test_growth_of_an_unverified_triple_is_its_failure_and_exit_four(tmp_path, capsys):
+    path = write(tmp_path / "t.json", ginzburg_triple_payload())
+    assert main(["growth", path]) == 4
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out.keys() == {"verified", "failure"}
+    assert out["verified"] is False
+    assert out["failure"]["kind"] == "heart_window"
+    assert captured.err == ""
 
 
 def test_growth_hyperbolic_all_t(tmp_path, capsys):
@@ -288,6 +336,13 @@ def test_translation_csv(tmp_path, capsys):
     assert main(["translation", path, "--n-max", "16", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,distance,A,B,re_alpha,im_alpha"
+
+
+def test_translation_text_format(tmp_path, capsys):
+    path = write(tmp_path / "t.json", readme_triple_payload())
+    assert main(["translation", path, "--n-max", "64", "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "estimate 0.962423650119\nclosed_form 0.962423650119\nfekete_min 0.962423650119\n")
 
 
 def test_translation_not_compatible_exit(tmp_path, capsys):
@@ -556,6 +611,57 @@ def test_a_scenario_flag_that_fails_a_precondition_is_input_error(capsys, argv, 
     captured = capsys.readouterr()
     assert captured.err == "input error: %s\n" % message
     assert captured.out == ""
+
+
+BIG = "1" + "0" * 400  # an integer flag beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curve", "--degL", BIG], "scenario curve overflows float arithmetic: "
+                                   "int too large to convert to float"),
+        (["coh1", "--m", BIG], "scenario coh1 overflows float arithmetic: "
+                               "int too large to convert to float"),
+        (["pseudo-anosov", "--matrix", "1,%s;0,1" % BIG],
+         "scenario pseudo-anosov overflows float arithmetic: int too large to convert to float"),
+        (["weak", "--intersection", "1e308"],
+         "scenario weak overflows float arithmetic: overflow encountered in dot"),
+    ],
+    ids=["curve-degL", "coh1-m", "pseudo-anosov-matrix", "weak-intersection"],
+)
+def test_a_scenario_flag_that_overflows_float_arithmetic_is_input_error(capsys, argv, message):
+    # the first three leaked an OverflowError traceback (exit 1); weak printed
+    # numpy's overflow warning and then "math domain error"
+    assert main(["scenario"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curve"], ["coh1"], ["weak"], ["ginzburg"], ["pseudo-anosov"],
+     ["coh1", "--lambda", "1e300"], ["weak", "--intersection", "1e-320"]],
+    ids=["curve", "coh1", "weak", "ginzburg", "pseudo-anosov", "coh1-lambda-1e300",
+         "weak-intersection-1e-320"],
+)
+def test_scenarios_in_the_float_range_run_without_stderr(capsys, argv):
+    assert main(["scenario"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["name"]
+
+
+def test_scenario_csv_format(capsys):
+    assert main(["scenario", "pseudo-anosov", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "claim,value,expected,tolerance,passed\n"
+        '"mass growth equals the lattice radius log",0.962423650119,0.962423650119,0.001,True\n'
+        '"translation length equals the lattice radius log",'
+        "0.962423650119,0.962423650119,0.05,True\n"
+        '"closed form agrees with the lattice radius log",'
+        "0.962423650119,0.962423650119,1e-09,True\n")
 
 
 def test_scenario_unknown_name():

@@ -639,6 +639,23 @@ def test_inverse_beyond_two_to_the_53_takes_the_bareiss_route(monkeypatch):
     assert calls == [P]
 
 
+@pytest.mark.parametrize("a, guard", [(2**53, 0), (2**40, 1), (2**21, 2)],
+                         ids=["entries", "float-inverse", "product"])
+def test_each_float_inverse_guard_hands_over_to_rational_inverse(monkeypatch, a, guard):
+    # P = I + a S on rank 3 has inverse I - a S + a^2 S^2.  Entries of 2^53
+    # have no exact float64; at 2^40 the float inverse reaches a^2 = 2^80,
+    # past 2^62; at 2^21 it stays below, but 3 a a^2 = 3 2^63 could wrap the
+    # int64 check P N = I
+    P = IntMatrix(((1, a, 0), (0, 1, a), (0, 0, 1)))
+    assert [a >= 2**53, a * a >= 2**62, 3 * a * a * a >= 2**63].index(True) == guard
+    assert lattice._float_inverse(P) is None
+    calls = []
+    monkeypatch.setattr(lattice, "rational_inverse",
+                        lambda A: calls.append(A) or rational_inverse(A))
+    assert inverse_unimodular(P).entries == ((1, -a, a * a), (0, 1, -a), (0, 0, 1))
+    assert calls == [P]
+
+
 @pytest.mark.parametrize("rows", [((2, 0), (0, 1)), ((1, 2), (1, 4)), ((1, 1), (1, 1))])
 def test_inverse_unimodular_rejects_a_non_unimodular_map(rows):
     with pytest.raises(ValueError, match="not unimodular"):

@@ -376,6 +376,21 @@ def test_fit_growth_report_on_raw_sequence():
         fit_growth_report([(2, 0.0), (2, 1.0)])
 
 
+def test_fit_growth_report_on_two_and_three_samples():
+    from stabdyn.growth import fit_growth_report
+
+    # two points: too few for the design, so the rate is the plain slope
+    rep = fit_growth_report([(1, 0.0), (2, 1.0)])
+    assert (rep.exp_rate, rep.poly_rate) == (1.0, 0.0)
+    assert rep.diagnostics["window"] == (1.0, 2.0)
+    # the tail n >= 64/8 holds one point, so the window falls back to the
+    # last three, which fit y = a n + b log n + c exactly
+    rep = fit_growth_report([(n, 0.5 * n + math.log(n) + 1.0) for n in (1, 2, 64)])
+    assert rep.diagnostics["window"] == (1.0, 64.0)
+    assert rep.exp_rate == pytest.approx(0.5, abs=1e-12)
+    assert rep.poly_rate == pytest.approx(1.0, abs=1e-12)
+
+
 def test_epsilon_bounds_shift_equivariance():
     m = 2
     base = {}

@@ -210,6 +210,22 @@ def test_degenerate_spectrum_reports_moduli():
     assert len(err.value.moduli) == 2
 
 
+def test_nilpotent_matrix_has_radius_zero_and_no_polynomial_rate():
+    A = M([[0, 1], [0, 0]])
+    data = spectral_data(A)
+    assert (data.rho, data.s, [ev.block_sizes for ev in data.eigenvalues]) == (0.0, 0, [(2,)])
+    assert spectral_radius(A) == 0.0
+    with pytest.raises(ValueError, match="requires a positive spectral radius"):
+        poly_growth_rate(A)
+
+
+def test_spectral_radius_raises_in_the_cluster_guard_band():
+    # spectral_radius reads spectral_data, so it shares its guard band: the
+    # default cluster_tol 1e-7 puts a relative gap of 1e-6 inside it
+    with pytest.raises(DegenerateSpectrum):
+        spectral_radius(M([[1000001, 0], [0, 1000000]]))
+
+
 # --- norm growth estimation ---------------------------------------------------
 
 

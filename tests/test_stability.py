@@ -257,6 +257,36 @@ def test_verify_a2_twist_fails_heart_window():
     assert t.failure.kind == "heart_window"
 
 
+def verify_curve_images(images):
+    """verify_triple of curve_triple(3)'s data with the given image pairs."""
+    t = curve_triple(3)
+    return verify_triple(t.auto, t.sigma, t.g, images=images)
+
+
+def test_verify_fails_on_an_image_class_that_is_not_p_v():
+    images = [(d.v, d.phase) for d in curve_triple(3).images]
+    images[1] = ((0, 2), images[1][1])
+    t = verify_curve_images(images)
+    assert not t.verified
+    assert t.intertwine.passed
+    assert t.failure.kind == "image_class"
+    assert t.failure.detail == "image class (0, 2) of entry 1 is not P v = (0, 1)"
+    assert t.images == tuple(images)  # a failed triple keeps the images as given
+
+
+def test_verify_fails_on_an_image_phase_off_its_charge():
+    transported = curve_triple(3).images
+    images = [(d.v, d.phase) for d in transported]
+    assert verify_curve_images(images).images == transported  # pairs become data
+    images[0] = (images[0][0], images[0][1] + 0.5)
+    t = verify_curve_images(images)
+    assert not t.verified
+    assert t.failure.kind == "phase_transport"
+    assert t.failure.detail == (
+        "transported entry 0 has phase %.12g inconsistent with its charge" % images[0][1])
+    assert t.images == tuple(images)
+
+
 # --- apply_auto -------------------------------------------------------------------
 
 
