@@ -52,7 +52,7 @@ class FitPlan:
 
     @functools.cached_property
     def slopes(self):
-        idx = _thin_logspaced(self.tail, self.ns)
+        idx = thin(self.tail, self.ns)
         x = np.log(self.ns[idx])
         return idx, (float(self.ns[idx[0]]), float(self.ns[idx[-1]])), slope_pairs(x), suffix_sums(x)
 
@@ -150,15 +150,16 @@ def theil_sen_slope(pairs, Y):
     return np.median(slopes, axis=1, overwrite_input=True)
 
 
-def _thin_logspaced(idx, ns):
-    """Subset of indices roughly uniform in log n.
+def thin(idx, ns, spacing=np.geomspace):
+    """Subset of indices roughly uniform in log n (spacing np.geomspace) or
+    in n (np.linspace).
 
-    Each of THIN_POINTS log-spaced targets picks its nearest sample, the
-    lower one on a tie."""
+    Each of THIN_POINTS targets spacing(first, last, THIN_POINTS) picks its
+    nearest sample, the lower one on a tie."""
     if len(idx) <= THIN_POINTS:
         return idx
     v = ns[idx]
-    targets = np.geomspace(v[0], v[-1], THIN_POINTS)
+    targets = spacing(v[0], v[-1], THIN_POINTS)
     hi = np.minimum(np.searchsorted(v, targets), len(v) - 1)
     lo = np.maximum(hi - 1, 0)
     pick = np.where(np.abs(v[lo] - targets) <= np.abs(v[hi] - targets), lo, hi)

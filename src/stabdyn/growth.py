@@ -40,6 +40,7 @@ from ._fit import (
     log_slope_fit,
     slope_pairs,
     theil_sen_slope,
+    thin,
 )
 from ._report import Report
 from .errors import EmptyTable
@@ -465,14 +466,16 @@ def epsilon_bounds_from_hom(table):
     lower one is -max k.
     """
     ns = table.ns
-    eps_plus = (-np.minimum.reduceat(table._ks, table._starts)).tolist()
-    eps_minus = (-np.maximum.reduceat(table._ks, table._starts)).tolist()
-    nu_up, nu_lo = (theil_sen_slope(slope_pairs(ns), [eps_plus, eps_minus]) if len(ns) > 1
-                    else (0.0, 0.0))
+    eps = [tuple((-np.minimum.reduceat(table._ks, table._starts)).tolist()),
+           tuple((-np.maximum.reduceat(table._ks, table._starts)).tolist())]
+    # the drifts are slopes in n: Theil-Sen pairs at most THIN_POINTS rows, evenly spaced in n
+    idx = thin(np.arange(len(ns)), np.asarray(ns, dtype=float), np.linspace).tolist()
+    nu_up, nu_lo = theil_sen_slope(slope_pairs([ns[i] for i in idx]),
+                                   [[e[i] for i in idx] for e in eps])  # one row: no pair, 0
     return EpsilonBounds(
         ns=tuple(ns),
-        eps_plus=tuple(eps_plus),
-        eps_minus=tuple(eps_minus),
+        eps_plus=eps[0],
+        eps_minus=eps[1],
         nu_upper=float(nu_up),
         nu_lower=float(nu_lo),
     )

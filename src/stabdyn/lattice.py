@@ -12,27 +12,32 @@ Krylov chains e_j, A e_j, A^2 e_j, ... (Keller-Gehrig 1985) end in a
 dependence whose own coordinates give a monic integer factor of the
 characteristic polynomial: chains sharing one eliminator multiply to it
 below rank 16 (_CROSSOVER), and chains from fresh eliminators have the
-minimal polynomial as their lcm.  From rank 16 to 2047 the characteristic
-polynomial is multi-modular (Cohen 1993, Alg. 2.2.9; Dumas, Pernet and Wan
-2005): a Hessenberg reduction mod a batch of primes below 2^26 in one int64
-array, joined by CRT, with enough primes for the bound |c_k| <= C(n, k) *
-(product of the k largest row 2-norms).  The square-free split first checks
-that p and p' are coprime mod the prime 2^31 - 1, which certifies a
-square-free p; otherwise Yun's loop runs on primitive-PRS gcds with exact
-division by monic factors.  Jordan data is exact: one elimination of the
-columns of f(A)^k, f a Yun factor, gives a kernel basis, whose Krylov
-chains tell apart roots of f with different blocks.  Two kernels run on
-int64 numpy arrays under a bound that proves no entry wraps: f(A) X, for
-the minimal polynomial's tests on the unit columns and for the columns of
-f(A)^k, is Horner on int64 products while each step acc -> A acc + c X
-keeps n max|A| max|acc| + |c| max|X| < 2^63, and goes on in Python ints
-from the first step where it fails; a unimodular inverse is the rounded
-float64 inverse N when P N = I holds exactly in int64 (entries of P below
-2^53, n max|P| max|N| < 2^63), and comes from the eliminator otherwise.
-Root polishing and norm-growth estimation are plain numpy float64 with
-the thresholds stated in the docstrings, so every test is reproducible.
+minimal polynomial as their lcm.  From rank 16 to 2047 three answers run in
+int64 mod primes below 2^26, each with a certificate that makes it exact.
+chi is a Hessenberg reduction (Cohen 1993, Alg. 2.2.9; Dumas, Pernet and Wan
+2005) and A^-1 a Gauss-Jordan sweep on [A | I], both mod a batch of primes
+joined by CRT, whose product exceeds 4x a Hadamard bound on what CRT returns
+(a prime dividing det A hands A^-1 to the eliminator).  mu starts from e_0's
+chain mod one prime (Wiedemann 1986), never longer than over Q: length n
+proves mu = chi, a shorter one lifts to a candidate kept only if it kills
+e_0 exactly.  The square-free split first checks that p and p' are coprime
+mod the prime 2^31 - 1, which certifies a square-free p; otherwise Yun's
+loop runs on primitive-PRS gcds with exact division by monic factors.
+Jordan data is exact: one elimination of the columns of f(A)^k, f a Yun
+factor, gives a kernel basis, whose Krylov chains tell apart roots of f with
+different blocks.  Two kernels run on int64 numpy arrays under a bound that
+proves no entry wraps: f(A) X, for the minimal polynomial's tests on the
+unit columns and for the columns of f(A)^k, is Horner on int64 products
+while each step acc -> A acc + c X keeps n max|A| max|acc| + |c| max|X| <
+2^63, and goes on in Python ints from the first step where it fails; a
+unimodular inverse is the rounded float64 inverse N when P N = I holds
+exactly in int64 (entries of P below 2^53, n max|P| max|N| < 2^63), and
+comes from rational_inverse otherwise.  Root polishing and norm-growth
+estimation are plain numpy float64 with the thresholds stated in the
+docstrings, so every test is reproducible.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -76,17 +81,12 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
 
     def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            b = other.entries
-            return IntMatrix(
-                tuple(
-                    tuple(sum(ra[k] * b[k][j] for k in range(self.dim)) for j in range(self.dim))
-                    for ra in self.entries
-                )
-            )
-        return NotImplemented
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        columns = tuple(zip(*other.entries))
+        return IntMatrix(tuple(tuple(_apply(columns, row)) for row in self.entries))
 
     def apply(self, v):
         """Exact integer matrix-vector product."""
@@ -214,10 +214,14 @@ def det_exact(A):
 def rational_inverse(A):
     """Exact inverse A^-1 = N / d as (N, d), with d = |det A| > 0.
 
-    Feeds the columns of A, then those of I, through one elimination; column
-    j of N is the solution for e_j scaled by d, so N is the adjugate of A up
-    to the sign of det A.  Raises SingularMatrix when det A = 0.
+    From rank _CROSSOVER on _modular_inverse answers, unless a prime divides
+    det A; else the columns of A, then of I, feed one elimination: column j
+    of N solves for e_j scaled by d, so N is the adjugate of A up to the sign
+    of det A.  Raises SingularMatrix when det A = 0.
     """
+    found = _CROSSOVER <= A.dim < _MODULAR_DIM_LIMIT and _modular_inverse(A)
+    if found:
+        return found
     elim = _Bareiss()
     for col in zip(*A.entries):
         if elim.feed(col) is not None:
@@ -494,15 +498,24 @@ def min_poly(A):
     on the unit columns still open (_poly_at) drops every e_j it kills; it
     is repeated only after the lcm grows.  Every mu_{e_j} divides
     char_poly(A) in Z[x], so the lcm (through the monic gcd) stays integral.
+
+    From rank _CROSSOVER on, e_0's chain runs mod one prime (_modular_chain):
+    length n gives char_poly(A); mu_{e_0} divides a shorter chain's candidate
+    that kills e_0 and has at least its degree, so they are equal.
     Returns (coefficients descending, used_char_poly=False).
     """
-    a, units = _int_array(A.entries), np.eye(A.dim, dtype=np.int64)
-    mu = _krylov_chain(A, units[0].tolist(), _Bareiss())
-    rest = list(range(1, A.dim))  # the e_j the lcm may not kill yet
-    while rest and len(mu) < A.dim + 1:
+    n, modular = A.dim, _CROSSOVER <= A.dim < _MODULAR_DIM_LIMIT
+    a, units = _int_array(A.entries), np.eye(n, dtype=np.int64)
+    mu = _modular_chain(a) if modular else _krylov_chain(A, units[0].tolist(), _Bareiss())
+    if mu is None:
+        return char_poly(A), False
+    rest = list(range(0 if modular else 1, n))  # the e_j the lcm may not kill yet
+    while rest and len(mu) < n + 1:
         alive = (_poly_at(a, mu, units[:, rest]) != 0).any(axis=0)
         rest = [j for j, live in zip(rest, alive.tolist()) if live]
-        if rest:
+        if rest and rest[0] == 0:  # the lifted candidate is not mu_{e_0}: start over exactly
+            mu, rest = _krylov_chain(A, units[0].tolist(), _Bareiss()), list(range(1, n))
+        elif rest:
             mu_j = _krylov_chain(A, units[rest.pop(0)].tolist(), _Bareiss())
             mu = _poly_mul(mu, _poly_div_monic(mu_j, _poly_gcd(mu, mu_j)))
     return mu, False
@@ -547,20 +560,25 @@ def _primes_above(bits):
     return _PRIMES[:k]
 
 
+def _row_norm_bits(A):
+    """log2 of the row 2-norms of A, largest first (-inf for a zero row)."""
+    squares = [sum(map(operator.mul, row, row)) for row in A.entries]
+    return sorted((0.5 * math.log2(q) if q else -math.inf for q in squares), reverse=True)
+
+
 def _coefficient_bits(A):
     """log2 of a bound on every coefficient of char_poly(A).
 
     c_k is a signed sum of the C(n, k) principal k x k minors, and Hadamard's
     inequality bounds each by the product of the k largest row 2-norms.
     """
-    n = A.dim
-    squares = [sum(map(operator.mul, row, row)) for row in A.entries]
-    logs = sorted((0.5 * math.log2(q) if q else -math.inf for q in squares), reverse=True)
-    bits = acc = 0.0
-    for k in range(1, n + 1):
-        acc += logs[k - 1]
-        bits = max(bits, math.log2(math.comb(n, k)) + acc)
-    return bits
+    n, sums = A.dim, itertools.accumulate(_row_norm_bits(A))
+    return max([0.0] + [math.log2(math.comb(n, k)) + acc for k, acc in enumerate(sums, 1)])
+
+
+def _minor_bits(A):
+    """log2 of Hadamard's bound on |det A| and every (n-1)-minor of A."""
+    return sum(max(b, 0.0) for b in _row_norm_bits(A))
 
 
 def _modular_char_poly(A):
@@ -611,13 +629,69 @@ def _modular_char_poly(A):
             sub = S[:, : m + 1]
             sub *= H[:, m + 1, m, None]
             sub %= p
+    return _crt(plist, P[:, n, ::-1])
+
+
+def _crt(plist, residues):
+    """The x with |x| < M / 2, M = prod(plist), and x = residues[i, j] mod
+    plist[i], for each column j of the (k, m) array."""
     M = math.prod(plist)
-    es = [M // q * pow(M // q % q, -1, q) for q in plist]
-    out = []
-    for r in zip(*P[:, n, ::-1].tolist()):
-        x = sum(map(operator.mul, r, es)) % M
-        out.append(x - M if 2 * x > M else x)
-    return out
+    es = np.array([M // q * pow(M // q % q, -1, q) for q in plist], dtype=object)
+    return [x - M if 2 * x > M else x for x in (es @ residues.astype(object) % M).tolist()]
+
+
+def _modular_inverse(A):
+    """rational_inverse(A) by Gauss-Jordan on [A | I] mod primes whose product
+    exceeds 4x _minor_bits, so CRT gives det A and N = |det A| A^-1 exactly;
+    None when a prime divides det A.  Each image swaps rows only where its
+    pivot vanishes, and carries det A as its pivots' product and swap signs.
+    """
+    n, plist = A.dim, _primes_above(_minor_bits(A) + 2)
+    p = np.array(plist, dtype=np.int64)[:, None]
+    H = np.zeros((len(plist), n, 2 * n), dtype=np.int64)
+    H[:, :, :n] = _int_array(A.entries) % p[:, :, None]  # beyond int64, reduce as Python ints
+    H[:, range(n), range(n, 2 * n)] = 1
+    det = [1] * len(plist)
+    for c in range(n):
+        piv = H[:, c, c].tolist()
+        for i in (i for i, t in enumerate(piv) if t == 0):
+            below = np.flatnonzero(H[i, c + 1 :, c])
+            if not below.size:
+                return None  # plist[i] divides det A
+            r = [c, c + 1 + int(below[0])]
+            H[i, r] = H[i, r[::-1]]
+            det[i], piv[i] = -det[i], int(H[i, c, c])
+        det = [d * t % q for d, t, q in zip(det, piv, plist)]
+        row = H[:, c, c:] * np.array([pow(t, -1, q) for t, q in zip(piv, plist)])[:, None] % p
+        H[:, :, c:] = (H[:, :, c:] - H[:, :, c, None] * row[:, None, :]) % p[:, :, None]
+        H[:, c, c:] = row  # the update left row c at 0 mod p
+    d = abs(_crt(plist, np.array([det]).T)[0])
+    N = _crt(plist, H[:, :, n:].reshape(len(plist), -1) * np.array([[d % q] for q in plist]) % p)
+    return tuple(tuple(N[i : i + n]) for i in range(0, n * n, n)), d
+
+
+def _modular_chain(a):
+    """e_0's Krylov chain mod q, the first prime, for the n x n array a: None
+    at length n, else its ending dependence lifted to symmetric residues.  It
+    is kept in reduced echelon form beside each row's coordinates over e_0,
+    A e_0, ...; residues below 2^26 and n < 2048 keep every sum in int64."""
+    n, q = len(a), _primes_above(0)[0]
+    aq = (a % q).astype(np.int64)
+    rc = np.zeros((n, 2 * n + 1), dtype=np.int64)  # echelon rows | their chain coordinates
+    rc[0, 0] = rc[0, n] = 1
+    piv, v = np.zeros(n, dtype=np.intp), rc[0, :n]
+    for k in range(1, n):
+        v = aq @ v % q
+        x = rc[k]
+        x[:n], x[n + k] = v, 1
+        x[:] = (x - x[piv[:k]] @ rc[:k]) % q
+        j = x[:n].argmax()  # a nonzero entry, if there is one
+        if not x[j]:
+            return [1] + [c - q if 2 * c > q else c for c in x[n : n + k][::-1].tolist()]
+        x[:] = x * pow(int(x[j]), -1, q) % q
+        rc[:k] = (rc[:k] - rc[:k, j, None] * x) % q
+        piv[k] = j
+    return None
 
 
 def char_poly(A):
@@ -799,10 +873,11 @@ def spectral_data(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):
 
 
 def spectral_radius(A, tol=1e-9):
-    """Largest eigenvalue modulus: the rho of spectral_data(A, tol=tol), so
-    each root is certified to residual <= tol, and a modulus in the cluster
-    guard band below rho raises DegenerateSpectrum."""
-    return spectral_data(A, tol=tol).rho
+    """Largest modulus of the roots of char_poly(A), each certified to
+    residual <= tol: the rho of spectral_data(A, tol=tol).  The cluster guard
+    band decides only s, so a modulus inside it does not stop rho."""
+    coeffs = char_poly(A)
+    return float(max(abs(z) for z, *_ in _certified_roots(coeffs, _jordan_pieces(A, coeffs), tol)))
 
 
 def poly_growth_rate(A, tol=1e-9, cluster_tol=DEFAULT_CLUSTER_TOL):

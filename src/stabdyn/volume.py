@@ -2,10 +2,11 @@
 
 The volume is |sum chi^{ij} Z(v_i) conj(Z(v_j))| over the standard lattice
 basis, with chi^{ij} = N_ij / d the exact inverse of the integer pairing
-(stabdyn.lattice.rational_inverse, fraction-free; each entry is rounded to
-float once).  For an odd-parity antisymmetric pairing the plane action scales
-the volume by the inverse determinant of the matrix part, which forces
-det = 1 for any compatible action with nonvanishing volume.
+(stabdyn.lattice.rational_inverse: fraction-free below rank 16, CRT of
+images mod primes from 16; each entry is rounded to float once).  For an
+odd-parity antisymmetric pairing the plane action scales the volume by the
+inverse determinant of the matrix part, which forces det = 1 for any
+compatible action with nonvanishing volume.
 """
 
 from dataclasses import dataclass

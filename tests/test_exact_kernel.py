@@ -5,7 +5,9 @@ recursion for the characteristic polynomial, the first rational dependence
 of vec(I), vec(A), vec(A^2), ... for the minimal polynomial), plus the work
 and exactness guarantees of the Gaussian Bareiss sweep itself and of the
 bounded int64 kernels (the matrix-polynomial evaluation against a Python-int
-Horner reference, the certified float inverse against rational_inverse)."""
+Horner reference, the certified float inverse against rational_inverse), and
+the minimal polynomial and inverse mod primes from rank _CROSSOVER on against
+the eliminator route, with large primes and with 3, 5, 7, ..."""
 
 import operator
 from fractions import Fraction
@@ -13,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabdyn import lattice
+from stabdyn import families, lattice
 from stabdyn.errors import SingularMatrix, SingularPairing
 from stabdyn.families import random_unimodular
 from stabdyn.lattice import (
@@ -159,21 +161,25 @@ def jordan_block(lam, n):
 
 
 @st.composite
-def derogatory_matrices(draw):
+def derogatory_matrices(draw, min_rank=1):
     """U D U^-1 for a derogatory D: a direct sum with a repeated block, a
-    scalar matrix, or J_n(lam) + J_m(lam); U is a random unimodular matrix."""
-    shape = draw(st.sampled_from(["repeated", "scalar", "jordan"]))
-    if shape == "repeated":
-        B = draw(int_matrices(max_n=3, bound=3)).entries
-        C = draw(int_matrices(max_n=2, bound=3)).entries
-        D = direct_sum(B, B, *([C] if draw(st.booleans()) else []))
-    elif shape == "scalar":
-        c, n = draw(st.integers(-3, 3)), draw(st.integers(2, 6))
-        D = [[c * int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        lam = draw(st.integers(-2, 2))
-        D = direct_sum(jordan_block(lam, draw(st.integers(1, 4))),
-                       jordan_block(lam, draw(st.integers(1, 4))))
+    scalar matrix, or J_n(lam) + J_m(lam), summed with further such blocks
+    until the rank reaches min_rank; U is a random unimodular matrix."""
+    D = []
+    while len(D) < min_rank:
+        shape = draw(st.sampled_from(["repeated", "scalar", "jordan"]))
+        if shape == "repeated":
+            B = draw(int_matrices(max_n=3, bound=3)).entries
+            C = draw(int_matrices(max_n=2, bound=3)).entries
+            block = direct_sum(B, B, *([C] if draw(st.booleans()) else []))
+        elif shape == "scalar":
+            c, n = draw(st.integers(-3, 3)), draw(st.integers(2, 6))
+            block = [[c * int(i == j) for j in range(n)] for i in range(n)]
+        else:
+            lam = draw(st.integers(-2, 2))
+            block = direct_sum(jordan_block(lam, draw(st.integers(1, 4))),
+                               jordan_block(lam, draw(st.integers(1, 4))))
+        D = direct_sum(D, block)
     U = random_unimodular(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(D),
                           steps=8, bound=1)
     return U @ IntMatrix(tuple(map(tuple, D))) @ inverse_unimodular(U)
@@ -660,3 +666,173 @@ def test_each_float_inverse_guard_hands_over_to_rational_inverse(monkeypatch, a,
 def test_inverse_unimodular_rejects_a_non_unimodular_map(rows):
     with pytest.raises(ValueError, match="not unimodular"):
         inverse_unimodular(IntMatrix(rows))
+
+
+# ---------------------------------------------------------------------------
+# the routes mod primes from rank _CROSSOVER on, against the eliminator route
+
+
+def eliminator_route(f, A):
+    """f(A) with the routes mod primes switched off: every answer of the
+    exact layer comes from _Bareiss, as below the crossover."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_CROSSOVER", lattice._MODULAR_DIM_LIMIT)
+        return f(A)
+
+
+def assert_routes_agree(A):
+    """min_poly and rational_inverse (or its SingularMatrix) equal the
+    eliminator route's answers."""
+    assert min_poly(A) == eliminator_route(min_poly, A)
+    try:
+        expected = eliminator_route(rational_inverse, A)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            rational_inverse(A)
+    else:
+        assert rational_inverse(A) == expected
+
+
+def singular(n, seed):
+    """A dense matrix whose last row is the sum of two others."""
+    rows = [list(r) for r in dense(n, seed).entries]
+    rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
+def beyond_int64(n, seed):
+    """Dense entries near 10^30, so every array of them has dtype object."""
+    rng = np.random.default_rng(seed)
+    return IntMatrix(tuple(tuple(int(a) * 10**30 + int(b) for a, b in zip(ra, rb))
+                           for ra, rb in zip(rng.integers(-3, 4, size=(n, n)).tolist(),
+                                             rng.integers(-9, 10, size=(n, n)).tolist())))
+
+
+def scalar_beyond_int64(n):
+    """(10^20 + 1) I conjugated by a unimodular U: the chain mod q stops at
+    once, but its lifted dependence x - ((10^20 + 1) mod q) is wrong."""
+    U = random_unimodular(np.random.default_rng(n), n, steps=2 * n, bound=1)
+    return U @ IntMatrix(scalar_times(10**20 + 1, IntMatrix.identity(n))) @ inverse_unimodular(U)
+
+
+ROUTE_CASES = [(n, shape) for n in (16, 20, 24, 32, 48)
+               for shape in ("dense", "singular", "unimodular", "scalar-beyond-int64")]
+# dense 100-bit entries: the eliminator reference alone takes 40 s at rank 48
+ROUTE_CASES += [(n, "beyond-int64") for n in (16, 20, 24)]
+
+
+@pytest.mark.parametrize("n, shape", ROUTE_CASES)
+def test_routes_mod_primes_equal_the_eliminator_route(n, shape):
+    A = {"dense": lambda: dense(n, n),
+         "singular": lambda: singular(n, n),
+         "unimodular": lambda: random_unimodular(np.random.default_rng(n), n, steps=3 * n),
+         "beyond-int64": lambda: beyond_int64(n, n),
+         "scalar-beyond-int64": lambda: scalar_beyond_int64(n)}[shape]()
+    assert lattice._CROSSOVER <= n < lattice._MODULAR_DIM_LIMIT
+    assert_routes_agree(A)
+    if shape == "unimodular":
+        assert rational_inverse(A) == (inverse_unimodular(A).entries, 1)
+    if shape == "scalar-beyond-int64":
+        assert min_poly(A) == ([1, -(10**20 + 1)], False)
+
+
+MOD_PRIMES = hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@MOD_PRIMES
+@hypothesis.given(derogatory_matrices(min_rank=16))
+def test_derogatory_routes_mod_primes_equal_the_eliminator_route(A):
+    assert 16 <= A.dim
+    mu, _ = min_poly(A)
+    assert len(mu) < A.dim + 1
+    assert_routes_agree(A)
+
+
+def small_primes(limit=3000):
+    return [q for q in range(3, limit, 2) if all(q % d for d in range(3, int(q**0.5) + 1, 2))]
+
+
+def test_tiny_primes_take_every_branch_and_still_agree(monkeypatch):
+    # mod 3, 5, 7, ... chains stop short, lifts come out wrong and primes
+    # divide det A; every answer must still be the eliminator route's
+    monkeypatch.setattr(lattice, "_PRIMES", small_primes())
+    seen = {"full chain": 0, "lift certified": 0, "lift refused": 0,
+            "inverse mod primes": 0, "prime divides det": 0}
+    chain, modular_inverse = lattice._modular_chain, lattice._modular_inverse
+
+    def spy_chain(a):
+        mu = chain(a)
+        if mu is None:
+            seen["full chain"] += 1
+        else:
+            ok = not lattice._poly_at(a, mu, np.eye(len(a), dtype=np.int64)[:, :1]).any()
+            seen["lift certified" if ok else "lift refused"] += 1
+        return mu
+
+    def spy_inverse(A):
+        found = modular_inverse(A)
+        seen["prime divides det" if found is None else "inverse mod primes"] += 1
+        return found
+
+    monkeypatch.setattr(lattice, "_modular_chain", spy_chain)
+    monkeypatch.setattr(lattice, "_modular_inverse", spy_inverse)
+    rng = np.random.default_rng(7)
+    for n in (16, 17, 20):
+        for bound in (1, 2, 5):
+            assert_routes_agree(dense(n, int(rng.integers(2**32)), bound))
+        assert_routes_agree(singular(n, n))
+        assert_routes_agree(scalar_beyond_int64(n))
+        t = families.compatible_triple(rng, rank=n, kind="parabolic", shift=1)
+        assert_routes_agree(t.auto.P)
+    assert all(seen.values()), seen
+
+
+def test_a_refused_candidate_tests_every_unit_column_again():
+    # mod q, e_0's chain of diag(q + 5, 5, q + 5, ...) ends in x - 5, which
+    # kills e_1 but not e_0: the exact chain of e_0 gives x - q - 5, and e_1
+    # must be tested again against that
+    q = lattice._primes_above(0)[0]
+    A = IntMatrix(tuple(tuple((5 if i == 1 else q + 5) * int(i == j) for j in range(16))
+                        for i in range(16)))
+    assert lattice._modular_chain(lattice._int_array(A.entries)) == [1, -5]
+    assert min_poly(A) == ([1, -(q + 10), 5 * (q + 5)], False) == eliminator_route(min_poly, A)
+
+
+def test_a_dense_min_poly_at_rank_24_never_feeds_the_eliminator(monkeypatch):
+    A = dense(24, 5)
+    expected = eliminator_route(min_poly, A)
+    feeds = []
+    feed = _Bareiss.feed
+    monkeypatch.setattr(_Bareiss, "feed", lambda self, x: feeds.append(1) or feed(self, x))
+    assert min_poly(A) == expected
+    assert expected[0] == char_poly(A)
+    assert feeds == []
+    N, d = rational_inverse(A)  # no prime divides det A here
+    assert (A @ IntMatrix(N)).entries == scalar_times(d, IntMatrix.identity(24))
+    assert feeds == []
+
+
+def test_a_derogatory_family_map_at_rank_20_never_calls_char_poly(monkeypatch):
+    P = families.compatible_triple(np.random.default_rng(20), rank=20, kind="parabolic").auto.P
+    expected = eliminator_route(min_poly, P)
+    assert expected == ([1, -2, 1], False)  # (x - 1)^2: one Jordan block of size 2 per plane
+    monkeypatch.setattr(lattice, "char_poly", lambda A: pytest.fail("char_poly was called"))
+    feeds = []
+    feed = _Bareiss.feed
+    monkeypatch.setattr(_Bareiss, "feed", lambda self, x: feeds.append(1) or feed(self, x))
+    assert min_poly(P) == expected
+    assert feeds == []  # the lifted candidate is mu_{e_0}, and it kills every e_j
+
+
+def test_the_minor_bound_is_tight_at_a_hadamard_matrix():
+    # |det H| = n^(n/2), the product of the row norms, and the adjugate of
+    # H is n^(n/2 - 1) H^T, within the same bound
+    H = np.array([[1]])
+    while H.shape[0] < 16:
+        H = np.block([[H, H], [H, -H]])
+    A = IntMatrix(tuple(map(tuple, H.tolist())))
+    assert lattice._minor_bits(A) == 32.0
+    N, d = rational_inverse(A)
+    assert d == 2**32
+    assert N == tuple(tuple(int(x) * 2**28 for x in row) for row in H.T.tolist())
+    assert (N, d) == eliminator_route(rational_inverse, A)

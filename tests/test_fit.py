@@ -14,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from stabdyn import _fit, cover, families, growth, scenarios
 from stabdyn._fit import (
-    _thin_logspaced,
     fit_plan,
     joint_rate_fit,
     log_slope_fit,
@@ -23,6 +22,7 @@ from stabdyn._fit import (
     suffix_sums,
     tail_indices,
     theil_sen_slope,
+    thin,
 )
 from stabdyn.growth import (
     DEFAULT_T_GRID,
@@ -105,7 +105,7 @@ def test_thinning_equals_the_argmin_loop():
     for ns in schedules:
         for fraction in (8, 64):
             idx = tail_indices(ns, fraction)
-            got, want = _thin_logspaced(idx, ns), _argmin_thin(idx, ns)
+            got, want = thin(idx, ns), _argmin_thin(idx, ns)
             assert got.tolist() == want.tolist()
     assert len(tail_indices(schedules[-1])) == 7169
     # every target exactly halfway between two samples: the lower one wins
@@ -114,7 +114,7 @@ def test_thinning_equals_the_argmin_loop():
     ns = np.sort(np.concatenate(([1.0, 1000.0], targets[1:-1] - gap, targets[1:-1] + gap)))
     idx = np.arange(len(ns))
     assert ns[0] == 1.0 and ns[-1] == 1000.0
-    got, want = _thin_logspaced(idx, ns), _argmin_thin(idx, ns)
+    got, want = thin(idx, ns), _argmin_thin(idx, ns)
     assert got.tolist() == want.tolist()
     assert np.all(np.isin(ns[got[1:-1]], targets[1:-1] - gap))
 
@@ -130,7 +130,7 @@ def _close(got, want, x, y, rel=1e-12):
 def test_suffix_slopes_match_polyfit():
     rng = np.random.default_rng(5)
     ns, Y = _family_streams(4096)
-    idx = _thin_logspaced(tail_indices(ns), ns)
+    idx = thin(tail_indices(ns), ns)
     cases = [(np.log(ns[idx]), Y[:, idx])]
     cases += [_random_rows(rng, 4, m) for m in (3, 4, 10, 64)]
     # a suffix spanning less than 1e-9 ends the scan
@@ -288,7 +288,7 @@ def _ref_suffix_slopes(x, Y):
 
 def _ref_log_slope_fit(ns, Y):
     """log_slope_fit as it was, thinning and pairing on every call."""
-    idx = _thin_logspaced(tail_indices(ns), ns)
+    idx = thin(tail_indices(ns), ns)
     x = np.log(ns[idx])
     Y = Y[:, idx]
     slopes = _ref_theil_sen_slope(x, Y)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,39 @@ def test_epsilon_bounds_shift_equivariance():
     eb1 = epsilon_bounds_from_hom(HomTable(shifted))
     assert eb1.nu_upper == pytest.approx(eb0.nu_upper + m, abs=1e-12)
     assert eb1.nu_lower == pytest.approx(eb0.nu_lower + m, abs=1e-12)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_epsilon_bounds_memory_is_not_quadratic_in_the_rows():
+    # the Theil-Sen pairs come from at most THIN_POINTS rows, so only the
+    # report's own tuples grow with the table; pairing every row took
+    # 28 MB at 1024 rows and would take about 450 MB at 4096
+    small, large = scenarios.p1_hom_table(1024), scenarios.p1_hom_table(4096)
+    epsilon_bounds_from_hom(small)  # first call: imports and caches out of the count
+    assert _traced_peak(epsilon_bounds_from_hom, large) <= 1.5 * _traced_peak(
+        epsilon_bounds_from_hom, small)
+
+
+def test_epsilon_bounds_thin_evenly_in_n_past_thin_points():
+    # 4096 rows with floor-linear support: the drifts are the slopes of
+    # floor(n phi) and floor(n sqrt2 / 7), read off 64 rows evenly spaced in n
+    phi, r = (1 + 5**0.5) / 2, 2**0.5 / 7
+    table = HomTable({(n, k): 1 for n in range(1, 4097)
+                      for k in (-math.floor(n * phi), -math.floor(n * r))})
+    eb = epsilon_bounds_from_hom(table)
+    assert len(eb.ns) == len(eb.eps_plus) == 4096
+    assert eb.nu_upper == pytest.approx(phi, rel=1e-5)
+    assert eb.nu_lower == pytest.approx(r, rel=1e-4)
+    idx = _fit.thin(np.arange(4096), np.arange(1.0, 4097.0), np.linspace)
+    assert len(idx) == _fit.THIN_POINTS and idx[0] == 0 and idx[-1] == 4095
 
 
 # --- inequality suite ---------------------------------------------------------------
