@@ -2,11 +2,12 @@
 
 Every fit is row-batched: the rows of a (k, m) array are k streams sampled
 on one schedule ns.  What depends on the schedule alone (the period
-detector's window, the tail window, the scaled design, the log-spaced
-thinning, the Theil-Sen pairs and the suffix sums) is built once per
-schedule, in the FitPlan that fit_plan(ns) keeps.  A single stream is a
-batch of one.  All estimators work on a declared tail window of the
-schedule; the window is returned so reports can document it.
+detector's window, the tail window, the scaled design and its
+pseudo-inverse, the log-spaced thinning, the Theil-Sen pairs and the suffix
+sums) is built once per schedule, in the FitPlan that fit_plan(ns) keeps, so
+a batch's least squares is one product.  A single stream is a batch of one,
+and fits as it would in any batch.  All estimators work on a declared tail
+window of the schedule; the window is returned so reports can document it.
 """
 
 import functools
@@ -68,22 +69,23 @@ def _plan(ns):
 
 
 def _design(ns, idx):
-    """(idx, window, design, scale, move, gap) of joint_rate_fit on the
-    window ns[idx]: design is None below three points, move and gap None
-    without the 1/n column."""
+    """(idx, window, design, scale, pinv, floor, move, gap) of joint_rate_fit
+    on the window ns[idx]: design is None below three points, move and gap
+    None without the 1/n column."""
     n = ns[idx]
-    design = scale = move = gap = None
+    design = scale = pinv = floor = move = gap = None
     if len(n) >= 3:
         columns = np.array([n, np.log(n), np.ones_like(n), 1.0 / n])[: 3 + (len(n) > 4)]
         # n and 1/n differ by 2 log10(n) decades; each column is monotone in n
         scale = np.abs(columns[:, [0, -1]]).max(axis=1)
         columns /= scale[:, None]
         design = columns.T
+        pinv, floor = np.linalg.pinv(design), (np.linalg.cond(design) * np.finfo(float).eps) ** 2
         if len(columns) == 4:
             # dropping a row's 1/n coefficient d adds d^2 gap to its residual
             # sum of squares and d move to its other coefficients
             move, (gap,), *_ = np.linalg.lstsq(design[:, :3], design[:, 3], rcond=None)
-    return idx, (float(n[0]), float(n[-1])), design, scale, move, gap
+    return idx, (float(n[0]), float(n[-1])), design, scale, pinv, floor, move, gap
 
 
 def joint_rate_fit(plan, Y, fraction=8):
@@ -92,37 +94,44 @@ def joint_rate_fit(plan, Y, fraction=8):
     The log n column keeps the linear rate `a` clean when the stream carries
     a polynomial factor (e.g. ||A^n|| ~ n^s rho^n); the 1/n column takes the
     next term of a Jordan block's log mass, which a log n slope fit on
-    y - a*n would otherwise absorb.  A row keeps the 1/n column only when it
-    removes at least nine tenths of the residual sum of squares the other
-    three leave; the bounded wobble of an irrational rotation does not, and
-    its d is 0.  Windows of at most four points fit three columns.  The rows
-    of Y lie on the schedule of plan.  Returns (a, d, rms_residual, window):
-    a list of each per row, and window = (n_lo, n_hi).  Each row is its own
-    lstsq call, so a row's answer does not depend on the batch it came in.
+    y - a*n would otherwise absorb.  Windows of at most four points fit
+    three columns.  The rows of Y lie on the schedule of plan.  Returns (a,
+    d, rms_residual, window): a list of each per row, and window = (n_lo,
+    n_hi).  A batch's coefficients are one product with the design's pseudo-inverse
+    P, kept in the plan, and its residuals one more: np.einsum sums over the
+    window of C-ordered rows, in an order that does not depend on the number
+    of rows (a BLAS product's does), so a row fits the same in any batch.
+    A row drops the 1/n column when d^2 gap, the residual it removes, is
+    below nine times the rss left beyond the solve's rounding; the bounded
+    wobble of an irrational rotation leaves a large rss, and its d is 0.
+    The rounding: P and the product err by about eps |P| |y|, which the
+    design X turns into fitted values off by up to cond(X) eps |y| (cond(X)
+    = |X| |P|), so an exactly fitted row reads rss up to (cond(X) eps)^2
+    |y|^2.  Only the rss beyond that floor counts, and every backward-stable
+    solve makes the same choice.
     """
     ns = plan.ns
-    idx, window, design, scale, move, gap = (
+    idx, window, design, scale, pinv, floor, move, gap = (
         plan.design if fraction == 8 else _design(ns, tail_indices(ns, fraction)))
-    zeros = [0.0] * len(Y)
     if design is None:
         # under-determined: fall back to a plain slope
         n = ns[idx]
         rates = [0.0 if len(n) < 2 else float((y[-1] - y[0]) / (n[-1] - n[0]))
                  for y in Y[:, idx]]
-        return rates, zeros, zeros, window
-    rates, inv, rms = [], [], []
-    for y in Y[:, idx]:
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ coef
-        rss = resid @ resid
-        if len(coef) == 4 and coef[3] ** 2 * gap < 9.0 * rss:
-            rss += coef[3] ** 2 * gap
-            coef = coef[:3] + move * coef[3]
-        coef /= scale[: len(coef)]
-        rates.append(float(coef[0]))
-        inv.append(float(coef[3]) if len(coef) == 4 else 0.0)
-        rms.append(float(np.sqrt(rss / len(y))))
-    return rates, inv, rms, window
+        return rates, [0.0] * len(Y), [0.0] * len(Y), window
+    W = np.ascontiguousarray(Y[:, idx])  # the sums' order follows the memory layout
+    coef = np.einsum("ij,kj->ki", pinv, W)
+    resid = W - np.einsum("ij,kj->ki", design, coef)
+    rss = np.einsum("ij,ij->i", resid, resid)
+    if gap is not None:
+        dd_gap = coef[:, 3] ** 2 * gap
+        drop = dd_gap < 9.0 * (rss - floor * np.einsum("ij,ij->i", W, W))
+        rss[drop] += dd_gap[drop]
+        coef[drop, :3] += np.outer(coef[drop, 3], move)
+        coef[drop, 3] = 0.0
+    coef /= scale
+    inv = coef[:, 3].tolist() if gap is not None else [0.0] * len(Y)
+    return coef[:, 0].tolist(), inv, np.sqrt(rss / len(idx)).tolist(), window
 
 
 def slope_pairs(xs):

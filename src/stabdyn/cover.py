@@ -15,6 +15,7 @@ formula for 2x2 matrices): phases, log charges and spectral norms of g^n for
 any n, elementwise over numpy arrays, and power(g, n) itself.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,10 @@ class GL2TildeElem(Report):
     def det(self):
         (a, b), (c, d) = self.m
         return a * d - b * c
+
+    @functools.cached_property
+    def _record(self):  # in the instance dict: no field, repr, == or JSON reads it
+        return _build_record(self)
 
 
 def lift_from(M, f0):
@@ -298,21 +303,31 @@ class PowerRecord:
         return log_c + np.log(np.hypot(X, Y)), phis
 
     def log_norms(self, n):
-        """(log ||M^n||, log ||M^-n||) in the spectral norm, elementwise in n.
+        """(log ||M^n||, log ||M^-n||) in the spectral norm, elementwise in n."""
+        return self.extremes(n)[2:]
 
-        For N = [[p, q], [r, t]], sigma_max = (|(p + t, r - q)| + |(p - t, r + q)|) / 2,
-        from ||N||_F^2 +- 2 det N; sigma_max sigma_min = det^n gives the
-        inverse norm log sigma_max - n log det.
+    def extremes(self, n):
+        """(lo, hi, log ||M^n||, log ||M^-n||), elementwise in n: the least
+        and largest displacement f_{g^n}(phi) - phi over every phi, and the
+        spectral norms.  On z = x + iy, N = sign (alpha_n I + beta_n (m - mu I))
+        = [[p, q], [r, t]] is z -> Q e^(iw) z + R e^(iv) conj(z), 2 Q e^(iw) =
+        (p + t) + i (r - q), 2 R = |(p - t, r + q)|: sigma = Q +- R, and
+        sigma_max sigma_min = det^n.  Direction x turns by w + arg(Q + R
+        e^(i(v - w - 2x))), so over x by w +- asin(R / Q) = w +- (pi/2 - 2 atan
+        sqrt(sigma_min / sigma_max)), the ratio in log scale so that it never
+        cancels.  This range, narrower than 1, holds the drift n tau, which
+        picks the representative of w / pi mod 2.
         """
         n = np.asarray(n, dtype=np.int64)
         (a, b), (c, d) = self.m
-        log_c, _, alpha, beta, mu = self._coeffs(n)
-        sigma = 0.5 * (
-            np.hypot(2.0 * alpha + beta * (a + d - 2.0 * mu), beta * (c - b))
-            + np.abs(beta) * math.hypot(a - d, b + c)
-        )
-        fwd = log_c + np.log(sigma)
-        return fwd, fwd - n * self.log_det
+        log_c, sign, alpha, beta, mu = self._coeffs(n)
+        x, y = sign * (2.0 * alpha + beta * (a + d - 2.0 * mu)), sign * beta * (c - b)
+        fwd = log_c + np.log(0.5 * (np.hypot(x, y) + np.abs(beta) * math.hypot(a - d, b + c)))
+        inv = fwd - n * self.log_det
+        turn = np.arctan2(y, x) / math.pi
+        mid = turn + 2.0 * np.round((n * self.tau - turn) / 2.0)
+        half = 0.5 - np.arctan(np.exp(-0.5 * (fwd + inv))) * (2.0 / math.pi)
+        return mid - half, mid + half, fwd, inv
 
 
 def _theta_lo(x, y2, theta):
@@ -334,6 +349,11 @@ def _theta_lo(x, y2, theta):
 
 
 def power_record(g):
+    """The PowerRecord of g, built on first use and kept on the element."""
+    return g._record
+
+
+def _build_record(g):
     """The PowerRecord of g, from the entries of its matrix part.
 
     The discriminant is (a-d)^2 + 4bc rather than tr^2 - 4 det: exact on

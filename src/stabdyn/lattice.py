@@ -608,6 +608,8 @@ def _modular_char_poly(A):
                     H[q, i] = H[q, i[::-1]]
                     H[q, :, i] = H[q, :, i[::-1]]
             piv = H[:, c + 1, c].tolist()
+            if not any(piv):  # column c is reduced in every image already
+                continue
         inv = [pow(t, -1, q) if t else 0 for t, q in zip(piv, plist)]
         u = H[:, c + 2 :, c, None] * np.array(inv, dtype=np.int64)[:, None, None] % p3
         rows = H[:, c + 2 :, c:]  # row_i -= u_i row_{c+1}, then col_{c+1} += sum_i u_i col_i

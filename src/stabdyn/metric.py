@@ -10,11 +10,12 @@ acting complex number: A depends only on its real part (phase displacement)
 and B only on its imaginary part (log mass ratio), and both coordinate
 problems are solved exactly in closed form: the midrange of the phase
 displacements minimizes A, and the imaginary part that balances the two
-branches of the log mass ratio minimizes B.  Nothing is searched.
+branches of the log mass ratio minimizes B.  Nothing is searched or sampled.
 
 Both functionals read the closed-form cover.PowerRecord of the acting
-element: phases for all (phase, n) pairs in one call, and the norms of M^n
-and M^-n from the singular values of M^n (sigma_max sigma_min = det^n).
+element: PowerRecord.extremes gives the norms of M^n and M^-n and the exact
+extremes of f_{g^n}(phi) - phi over all phi, for every n at once; listed
+phases join them, and never lie beyond them but by rounding.
 """
 
 import math
@@ -25,8 +26,6 @@ import numpy as np
 from . import cover, stability
 from ._report import Report
 from .errors import DimensionMismatch, NonSpanningSet
-
-GRID_POINTS = 1024  # phase grid added to every displacement sup
 
 
 @dataclass(frozen=True)
@@ -108,19 +107,12 @@ def dB_over_set(sigma, tau, objects=None):
 # the two functionals of the orbit distance
 
 
-def _displacements(record, ns, phases):
-    """f_{g^n}(phi) - phi over the phases and the phase grid; one row per
-    exponent in ns."""
-    pts = np.concatenate([np.asarray(phases, dtype=float),
-                          np.linspace(0.0, 1.0, GRID_POINTS, endpoint=False)])
-    return record.phase(pts[None, :], np.asarray(ns)[:, None]) - pts
-
-
 def A_functional(g, n, alpha, phases=()):
-    """Sup of |f_{g^n}(phi) + Re alpha - phi| over the phases and the grid."""
+    """Sup of |f_{g^n}(phi) + Re alpha - phi| over every phi: at the least
+    or the largest displacement (PowerRecord.extremes), or at a listed phase."""
     alpha = complex(alpha)
-    disp = _displacements(cover.power_record(g), [n], phases)
-    return float(np.max(np.abs(disp + alpha.real)))
+    (lo,), (hi,), _, _ = _ranges(cover.power_record(g), [n], phases)
+    return float(max(abs(lo + alpha.real), abs(hi + alpha.real)))
 
 
 def B_functional(g, n, alpha, S=None):
@@ -158,7 +150,7 @@ def quotient_distance(triple, n):
     """Distance from the base point to its n-th translate, minimized over
     the plane action.
 
-    Uses the grid phase functional and the operator-norm mass functional:
+    Uses the exact phase functional and the operator-norm mass functional:
     over a finite lattice test set no class lies exactly on the irrational
     contracting ray, so the restricted mass branch could be compensated away
     entirely by the plane action; the operator norm is what carries the
@@ -169,15 +161,22 @@ def quotient_distance(triple, n):
     return _quotient_distances(triple.sigma.phases(), record, [n])[0]
 
 
+def _ranges(record, ns, phases):
+    """(lo, hi, log_fwd, log_inv) per exponent in ns: the least and largest
+    displacement over every phi and over the phases, and record.log_norms."""
+    ns = np.asarray(ns, dtype=np.int64)
+    lo, hi, log_fwd, log_inv = record.extremes(ns)
+    disp = record.phase(phases, ns[:, None]) - np.asarray(phases, dtype=float)
+    return (np.minimum(lo, disp.min(axis=1, initial=np.inf)),
+            np.maximum(hi, disp.max(axis=1, initial=-np.inf)), log_fwd, log_inv)
+
+
 def _quotient_distances(phases, record, ns):
     """quotient_distance for every n in ns, from the power record of g."""
-    disp = _displacements(record, ns, phases)
-    log_fwd, log_inv = record.log_norms(ns)
     samples = []
-    for n, row, fwd, inv in zip(ns, disp, log_fwd.tolist(), log_inv.tolist()):
-        c_lo, c_hi = float(row.min()), float(row.max())
-        # A(re) = max |c + re| is attained at an extreme c (rounding is
-        # monotone), and the midrange balances the two
+    for n, c_lo, c_hi, fwd, inv in zip(ns, *(v.tolist() for v in _ranges(record, ns, phases))):
+        # A(re) = max |c + re| is attained at an extreme c, and the midrange
+        # balances the two
         re_opt = -(c_hi + c_lo) / 2.0
         A_val = max(abs(c_hi + re_opt), abs(c_lo + re_opt))
         # branches of the log mass ratio: fwd - pi im and inv + pi im

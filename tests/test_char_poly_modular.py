@@ -212,3 +212,33 @@ def test_importing_the_cli_builds_no_primes():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True"]
+
+
+def _skipped_columns(A, monkeypatch):
+    """(chi, columns whose Hessenberg update _modular_char_poly skipped): each
+    updated column makes one np.matmul call, and the recurrence n more."""
+    calls, matmul = [0], np.matmul
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", counting)
+        chi = lattice._modular_char_poly(A)
+    return chi, (A.dim - 2) - (calls[0] - A.dim)
+
+
+def test_hessenberg_skips_columns_reduced_in_every_image(monkeypatch):
+    # a block map reduces about half its columns by itself; chi is unchanged
+    rng = np.random.default_rng(1)
+    block = families.compatible_triple(rng, rank=20, kind="hyperbolic", shift=1).auto.P
+    chi, skipped = _skipped_columns(block, monkeypatch)
+    assert chi == lattice._krylov_char_poly(block)
+    assert skipped >= block.dim // 4
+    # a dense map reduces none; a derogatory one (a scalar block) skips and stays exact
+    chi, skipped = _skipped_columns(dense(20, 7), monkeypatch)
+    assert skipped == 0 and chi == lattice._krylov_char_poly(dense(20, 7))
+    derogatory = M(np.kron(np.eye(2, dtype=int), np.array(dense(10, 3).entries)).tolist())
+    chi, skipped = _skipped_columns(derogatory, monkeypatch)
+    assert skipped >= 1 and chi == lattice._krylov_char_poly(derogatory)

@@ -717,3 +717,39 @@ def test_log_charge_and_phase_evaluate_the_coefficients_once(monkeypatch):
         assert (logs == record.log_charge(w[:, :1], w[:, 1:], ns)).all()
         assert (phases == record.phase(phis, ns)).all()
         assert record.log_charge_and_phase(1.0, 0.0, None, 5)[1] is None
+
+
+def test_each_element_builds_its_power_record_once(monkeypatch):
+    import dataclasses
+
+    from stabdyn import growth, metric, scenarios
+
+    builds, build = {}, cover._build_record
+
+    def counting(g):
+        builds[id(g)] = builds.get(id(g), 0) + 1
+        return build(g)
+
+    monkeypatch.setattr(cover, "_build_record", counting)
+    rng = np.random.default_rng(1)
+    keep = []
+    for kind in ("hyperbolic", "parabolic", "elliptic"):
+        t = families.compatible_triple(rng, rank=2, kind=kind, shift=1)
+        seed = families.seed_object(t)
+        keep.append(t)
+        for _ in range(2):  # the orbit-dynamics ops, replayed
+            stream = growth.MassStream(t, seed, n_max=4096)
+            [growth.mass_growth(t, seed, t=x, stream=stream) for x in growth.DEFAULT_T_GRID]
+            growth.pol_shifting_numbers(t, seed)
+            growth.yomdin_suite(t, seed)
+            growth.linearity_check(t, seed)
+            metric.stable_translation_length(t, n_max=64)
+    scenarios.run_scenario("pseudo-anosov")
+    assert builds and set(builds.values()) == {1}
+    g = keep[0].g
+    fresh = dataclasses.replace(g, f0=g.f0 + 2.0)
+    assert power_record(fresh) is not power_record(g)
+    assert power_record(fresh).tau == power_record(g).tau + 2.0
+    same = GL2TildeElem(m=g.m, f0=g.f0)
+    assert same == g and repr(same) == repr(g) and same.to_json() == g.to_json()
+    assert "_record" not in g.to_json() and hash(same) == hash(g)

@@ -222,7 +222,8 @@ def test_one_over_n_column_cannot_absorb_an_irrational_rotation(n_max):
 
 
 def _ref_joint_rate_fit(ns, Y, fraction=8):
-    """joint_rate_fit as it was, building the design on every call."""
+    """joint_rate_fit one row at a time, building the design, its
+    pseudo-inverse and the rounding floor on every call."""
     idx = tail_indices(ns, fraction)
     n = ns[idx]
     window = (float(n[0]), float(n[-1]))
@@ -237,22 +238,25 @@ def _ref_joint_rate_fit(ns, Y, fraction=8):
     scale = np.abs(columns[:, [0, -1]]).max(axis=1)
     columns /= scale[:, None]
     design = columns.T
+    pinv = np.linalg.pinv(design)
+    floor = (np.linalg.cond(design) * np.finfo(float).eps) ** 2
     if len(columns) == 4:
         # dropping a row's 1/n coefficient d adds d^2 gap to its residual
         # sum of squares and d move to its other coefficients
         move, (gap,), *_ = np.linalg.lstsq(design[:, :3], design[:, 3], rcond=None)
     rates, inv, rms = [], [], []
     for y in Y[:, idx]:
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ coef
-        rss = resid @ resid
-        if len(coef) == 4 and coef[3] ** 2 * gap < 9.0 * rss:
+        y = np.ascontiguousarray(y[None])
+        coef = np.einsum("ij,kj->ki", pinv, y)[0]
+        resid = y[0] - np.einsum("ij,kj->ki", design, coef[None])[0]
+        rss = np.einsum("ij,ij->i", resid[None], resid[None])[0]
+        if len(coef) == 4 and coef[3] ** 2 * gap < 9.0 * (rss - floor * np.einsum("ij,ij->i", y, y)[0]):
             rss += coef[3] ** 2 * gap
-            coef = coef[:3] + move * coef[3]
+            coef = np.append(coef[:3] + np.outer(coef[3:], move)[0], 0.0)
         coef /= scale[: len(coef)]
         rates.append(float(coef[0]))
         inv.append(float(coef[3]) if len(coef) == 4 else 0.0)
-        rms.append(float(np.sqrt(rss / len(y))))
+        rms.append(float(np.sqrt(rss / len(y[0]))))
     return rates, inv, rms, window
 
 
@@ -418,3 +422,38 @@ def test_a_suite_call_evaluates_the_record_once_and_a_second_builds_no_plan(monk
         assert (values["nu_upper"], values["nu_lower"]) == (shifts.nu_upper, shifts.nu_lower)
     else:
         assert suite(triple, top).line_slope == shifts.nu_upper
+
+
+def _parabolic_probe_rows():
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(60):
+        t = families.compatible_triple(rng, rank=2 + i % 5, kind="parabolic", shift=int(rng.integers(-2, 3)))
+        rows.append(growth.MassStream(t, families.seed_object(t), n_max=2**20).log_rows(DEFAULT_T_GRID))
+    return np.asarray(growth.default_schedule(2**20), dtype=float), np.concatenate(rows)
+
+
+def test_the_one_over_n_choice_does_not_depend_on_the_solver():
+    """A pseudo-inverse solve and a QR solve of the same design keep the 1/n
+    column on the same rows: only an rss beyond the rounding floor counts."""
+    ns, Y = _parabolic_probe_rows()
+    idx, _, design, _, _, floor, _, gap = fit_plan(ns).design
+    W = Y[:, idx]
+    q, r = np.linalg.qr(design)
+    choices = []
+    for coef in (W @ np.linalg.pinv(design).T, np.linalg.solve(r, q.T @ W.T).T):
+        resid = W - coef @ design.T
+        rss = np.sum(resid * resid, axis=1)
+        choices.append(coef[:, 3] ** 2 * gap >= 9.0 * (rss - floor * np.sum(W * W, axis=1)))
+    assert np.array_equal(choices[0], choices[1])
+    rates, inv, _, _ = joint_rate_fit(fit_plan(ns), Y)
+    assert np.array_equal(np.asarray(inv) != 0.0, choices[0])
+
+
+def test_a_row_alone_fits_as_in_a_batch_of_seven():
+    ns, Y = _parabolic_probe_rows()
+    plan = fit_plan(ns)
+    batch = joint_rate_fit(plan, Y[7:14])
+    for k in range(7):
+        alone = joint_rate_fit(plan, Y[7 + k : 8 + k])
+        assert [v[k] for v in batch[:3]] == [v[0] for v in alone[:3]]

@@ -299,3 +299,46 @@ def test_csv_rows_format():
     lines = text.strip().split("\n")
     assert lines[0] == "n,distance,A,B,re_alpha,im_alpha"
     assert len(lines) == len(rep.samples) + 1
+
+
+# --- the closed-form displacement extremes ----------------------------------------
+
+DOUBLINGS = np.array([2**k for k in range(13)])  # exponents 1 ... 4096
+
+
+def test_extremes_contain_a_fine_phase_grid():
+    grid = np.linspace(0.0, 1.0, 2**16, endpoint=False)
+    for seed in range(60):
+        for kind in ("hyperbolic", "parabolic", "elliptic"):
+            if (seed, kind) == (47, "hyperbolic"):
+                continue  # record.phase itself is not monotone there (cancelled Putzer step)
+            t = families.compatible_triple(np.random.default_rng(seed), rank=(2, 4, 6)[seed % 3], kind=kind)
+            record = cover.power_record(t.g)
+            lo, hi, _, _ = record.extremes(DOUBLINGS)
+            disp = record.phase(grid, DOUBLINGS[:, None]) - grid
+            assert np.all(disp.max(axis=1) <= hi + 1e-9), (seed, kind)
+            assert np.all(disp.min(axis=1) >= lo - 1e-9), (seed, kind)
+
+
+def test_A_never_exceeds_one_half_on_hyperbolic_triples():
+    # the grid sup read 0.687 on seed 47; a circle-map lift moves by less than 1
+    for seed in range(200):
+        for rank in (2, 4):
+            t = families.compatible_triple(np.random.default_rng(seed), rank=rank, kind="hyperbolic", shift=1)
+            rep = stable_translation_length(t, n_max=64)
+            assert max(s.A_value for s in rep.samples) <= 0.5 + 1e-12, (seed, rank)
+
+
+def test_A_is_invariant_under_the_plane_action():
+    rng = np.random.default_rng(71)
+    for seed in range(60):
+        for kind in ("hyperbolic", "parabolic", "elliptic"):
+            g = families.compatible_triple(np.random.default_rng(seed), rank=(2, 4, 6)[seed % 3], kind=kind).g
+            h = cover.from_complex(complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5)))
+            moved = cover.compose(cover.compose(h, g), cover.inverse(h))
+            for n in (1, 64, 4096):
+                lo, hi, _, _ = cover.power_record(g).extremes(n)
+                lo2, hi2, _, _ = cover.power_record(moved).extremes(n)
+                assert (hi2 - lo2) / 2 == pytest.approx((hi - lo) / 2, abs=1e-9)
+                assert A_functional(moved, n, -(hi2 + lo2) / 2) == pytest.approx(
+                    A_functional(g, n, -(hi + lo) / 2), abs=1e-9)
